@@ -38,20 +38,18 @@ from .eval import (
     gen_vectors,
     run_trials,
 )
-from .scores import ConfidenceFunction, ScoreSample, SoftmaxVector, compute_kappa, load_scores
+from .scores import ConfidenceFunction, ScoreSample, load_scores
 from .sgc import CoverageBound, SgcConfig, empirical_coverage, run_sgc
 from .stats import (
     TestResult,
     incomplete_beta,
     ks_two_sample,
-    log_gamma,
     make_rng,
     median_heuristic_bandwidth,
     mmd2_unbiased,
     permutation_test_mmd,
     student_t_cdf,
     substream,
-    t_test_one_sample,
     t_test_two_sample_welch,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "ScoreSample",
     "SgcConfig",
     "SingleInstanceEstimator",
-    "SoftmaxVector",
     "TestResult",
     "TrialPlan",
     "VectorKind",
@@ -77,7 +74,6 @@ __all__ = [
     "aupr",
     "auroc",
     "binomial_cdf",
-    "compute_kappa",
     "detect",
     "detect_ks",
     "detect_mmd",
@@ -92,7 +88,6 @@ __all__ = [
     "load_model",
     "load_scores",
     "load_vectors",
-    "log_gamma",
     "make_rng",
     "median_heuristic_bandwidth",
     "mmd2_unbiased",
@@ -103,7 +98,6 @@ __all__ = [
     "solve_bound",
     "student_t_cdf",
     "substream",
-    "t_test_one_sample",
     "t_test_two_sample_welch",
     "violation_terms",
 ]

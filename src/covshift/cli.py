@@ -9,29 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import detector as detector_mod
-from .baselines import (
-    SingleInstanceEstimator,
-    VectorKind,
-    VectorSample,
-    detect_ks,
-    detect_mmd,
-    detect_single_instance,
-    load_vectors,
-)
-from .detector import ModelFormatError, detect, fit, load_model, save_model
+from .baselines import VectorKind, VectorSample, load_vectors
+from .detector import ModelFormatError, detect, fit, load_model, save_model, write_atomic
 from .eval import (
-    CoverageDetectorMethod,
-    KsMethod,
-    MmdMethod,
-    SingleInstanceMethod,
+    METHODS,
+    MethodSettings,
     TrialPlan,
     UniformDist,
     gen_scores,
@@ -60,19 +48,6 @@ class _Parser(argparse.ArgumentParser):
     # shift verdicts here, so route usage failures through exit code 1.
     def error(self, message: str):
         raise _UsageError(message)
-
-
-def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 def _load_score_file(path: str, fmt: str, kappa: str, header: bool) -> ScoreSample:
@@ -114,19 +89,7 @@ def cmd_detect(args) -> int:
     if not 0.0 <= args.alpha < 1.0:
         raise ValueError(f"--alpha must lie in [0, 1), got {args.alpha}")
     model = load_model(args.model)
-    if args.format == "raw":
-        # Raw files hold already-computed kappa values; the flag asserts
-        # they match the model's confidence function.
-        window = load_scores(
-            args.window, "raw_scores", cf=ConfidenceFunction(model.kappa_name)
-        )
-    else:
-        window = load_scores(
-            args.window,
-            "softmax_csv",
-            cf=ConfidenceFunction(model.kappa_name),
-            header=args.header,
-        )
+    window = _load_score_file(args.window, args.format, model.kappa_name, args.header)
     report = detect(model, window, args.alpha)
     print(f"window size k = {report.window_size}")
     print(f"V statistic   = {report.v_statistic:.8f}")
@@ -174,13 +137,15 @@ def _load_score_pools(args):
     return loader(args.train), loader(args.id), loader(args.shifted)
 
 
+def _as_vectors(sample: ScoreSample) -> VectorSample:
+    # Scores act as 1-D embedding vectors so the two-sample baselines run
+    # directly on score-space pools.
+    return VectorSample(sample.scores[:, None], kind=VectorKind.EMBEDDING)
+
+
 def _load_vector_pools(args):
-    # Raw score files act as 1-D embedding vectors so the two-sample
-    # baselines run directly on score-space pools.
     if args.format == "raw":
-        def loader(path: str) -> VectorSample:
-            sample = load_scores(path, "raw_scores")
-            return VectorSample(sample.scores[:, None], kind=VectorKind.EMBEDDING)
+        loader = lambda path: _as_vectors(load_scores(path, "raw_scores"))
     else:
         kind = VectorKind(args.format)
         loader = lambda path: load_vectors(path, kind, header=args.header)
@@ -188,24 +153,11 @@ def _load_vector_pools(args):
 
 
 def cmd_eval(args) -> int:
-    if args.method == "ours":
-        train, id_pool, shifted_pool = _load_score_pools(args)
-        model = fit(train, delta=args.delta, c_target_count=args.coverages)
-        method = CoverageDetectorMethod(model)
-    elif args.method == "ks":
-        train, id_pool, shifted_pool = _load_vector_pools(args)
-        method = KsMethod(train, alpha=args.alpha)
-    elif args.method == "mmd":
-        train, id_pool, shifted_pool = _load_vector_pools(args)
-        method = MmdMethod(train, alpha=args.alpha, n_permutations=args.permutations)
-    else:
-        train, id_pool, shifted_pool = _load_score_pools(args)
-        estimator = (
-            SingleInstanceEstimator.SR
-            if args.method == "single-sr"
-            else SingleInstanceEstimator.ENTROPY
-        )
-        method = SingleInstanceMethod(train, estimator, alpha=args.alpha)
+    spec = METHODS[args.method]
+    load_pools = _load_score_pools if spec.input_kind == "score" else _load_vector_pools
+    train, id_pool, shifted_pool = load_pools(args)
+    settings = MethodSettings(args.alpha, args.delta, args.coverages, args.permutations)
+    method = spec.build(train, settings)
     plan = TrialPlan(
         window_sizes=tuple(args.window_sizes),
         n_trials=args.trials,
@@ -233,40 +185,24 @@ def _median_of_timed(fn, warmup: int = 1, reps: int = 5) -> float:
     return float(np.median(times))
 
 
-def _bench_method(method: str, m: int, k: int, seed: int) -> tuple[float, float]:
-    ref_scores = gen_scores(UniformDist(), m, seed)
-    window_scores = gen_scores(UniformDist(), k, seed + 1)
-    if method == "ours":
-        start = time.perf_counter()
-        model = fit(ref_scores, delta=0.01, c_target_count=10)
-        fit_seconds = time.perf_counter() - start
-        window = ScoreSample(window_scores.scores, kappa_name=model.kappa_name)
-        detect_seconds = _median_of_timed(lambda: detect(model, window, 0.05))
-        return fit_seconds, detect_seconds
-    if method in ("ks", "mmd"):
-        ref = VectorSample(ref_scores.scores[:, None], kind=VectorKind.EMBEDDING)
-        window = VectorSample(window_scores.scores[:, None], kind=VectorKind.EMBEDDING)
-        if method == "ks":
-            fn = lambda: detect_ks(ref, window, 0.05)
-        else:
-            fn = lambda: detect_mmd(ref, window, 0.05, n_permutations=100, seed=seed)
-        return 0.0, _median_of_timed(fn)
-    if method in ("single-sr", "single-ent"):
-        estimator = (
-            SingleInstanceEstimator.SR if method == "single-sr" else SingleInstanceEstimator.ENTROPY
-        )
-        fn = lambda: detect_single_instance(ref_scores, window_scores, 0.05, estimator)
-        return 0.0, _median_of_timed(fn)
-    raise ValueError(f"unknown bench method {method!r}")
+def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
+    spec = METHODS[name]
+    ref = gen_scores(UniformDist(), m, seed)
+    window = gen_scores(UniformDist(), k, seed + 1).scores
+    if spec.input_kind == "vector":
+        ref, window = _as_vectors(ref), window[:, None]
+    start = time.perf_counter()
+    method = spec.build(ref, MethodSettings())
+    fit_seconds = time.perf_counter() - start
+    return fit_seconds, _median_of_timed(lambda: method.p_value(window, seed))
 
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes]
     if sizes != sorted(sizes):
         raise ValueError(f"--sizes must be ascending, got {sizes}")
-    methods = args.methods
     lines = [BENCH_CSV_HEADER]
-    for method in methods:
+    for method in args.methods:
         for m in sizes:
             fit_s, detect_s = _bench_method(method, m, args.window_size, args.seed)
             lines.append(f"{method},{m},{args.window_size},{fit_s:.9f},{detect_s:.9f}")
@@ -306,6 +242,16 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _method_list(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [n for n in names if n not in METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method(s) {','.join(unknown)}; choose from {','.join(METHODS)}"
+        )
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="covshift", description="Coverage-bound distribution shift detection")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -330,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("eval", help="run the trial harness on labeled pools")
-    p_eval.add_argument(
-        "--method", required=True, choices=["ours", "ks", "mmd", "single-sr", "single-ent"]
-    )
+    p_eval.add_argument("--method", required=True, choices=list(METHODS))
     p_eval.add_argument("--train", required=True, help="detection-training / reference pool")
     p_eval.add_argument("--id", required=True, help="in-distribution window pool")
     p_eval.add_argument("--shifted", required=True, help="shifted window pool")
@@ -354,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--window-size", type=int, default=10)
     p_bench.add_argument(
         "--methods",
-        type=lambda s: s.split(","),
+        type=_method_list,
         default=["ours", "ks"],
-        help="comma-separated subset of ours,ks,mmd,single-sr,single-ent",
+        help=f"comma-separated subset of {','.join(METHODS)}",
     )
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True)

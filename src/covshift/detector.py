@@ -39,6 +39,7 @@ __all__ = [
     "detect",
     "save_model",
     "load_model",
+    "write_atomic",
 ]
 
 FORMAT_VERSION = 1
@@ -111,10 +112,12 @@ def fit(
     """Fit coverage bounds on a detection-training sample.
 
     Each target coverage gets its own SGC run at full confidence delta
-    (the delta/k split happens inside SGC across its iterations).
+    (the delta/k split happens inside SGC across its iterations); all runs
+    share one sort of the sample.
     """
+    sorted_scores = np.sort(sample.scores)
     pairs = tuple(
-        run_sgc(sample, SgcConfig(delta=delta, target_coverage=c))
+        run_sgc(sorted_scores, SgcConfig(delta=delta, target_coverage=c))
         for c in coverage_grid(c_target_count)
     )
     return DetectorModel(
@@ -224,7 +227,11 @@ def save_model(model: DetectorModel, path: str) -> None:
     Floats round-trip exactly: json emits shortest-round-trip decimal
     representations (up to 17 significant digits).
     """
-    text = json.dumps(_model_payload(model), indent=2) + "\n"
+    write_atomic(path, json.dumps(_model_payload(model), indent=2) + "\n")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file in the same directory and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -10,7 +10,7 @@ image-space shifts at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol, Union
+from typing import Callable, NamedTuple, Protocol, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .baselines import (
     detect_mmd,
     detect_single_instance,
 )
-from .detector import DetectorModel, detect
+from .detector import DEFAULT_C_TARGET_COUNT, DEFAULT_DELTA, DetectorModel, detect, fit
 from .scores import ScoreSample
 from .stats import make_rng, substream
 
@@ -49,6 +49,9 @@ __all__ = [
     "KsMethod",
     "MmdMethod",
     "SingleInstanceMethod",
+    "MethodSettings",
+    "MethodSpec",
+    "METHODS",
 ]
 
 DEFAULT_WINDOW_SIZES = (10, 20, 50, 100, 200, 500, 1000)
@@ -384,6 +387,45 @@ class SingleInstanceMethod:
     def p_value(self, window: np.ndarray, seed: int) -> float:
         sample = ScoreSample(scores=window, kappa_name=self.ref.kappa_name)
         return detect_single_instance(self.ref, sample, self.alpha, self.estimator).p_value
+
+
+class MethodSettings(NamedTuple):
+    """Settings a method's adaptor is built with; `covshift bench` uses the defaults."""
+
+    alpha: float = 0.05
+    delta: float = DEFAULT_DELTA
+    c_target_count: int = DEFAULT_C_TARGET_COUNT
+    n_permutations: int = 100
+
+
+class MethodSpec(NamedTuple):
+    """What a method reads ("score" or "vector" pools) and how its adaptor is built.
+
+    build takes the reference pool of that kind; for "ours" building is the fit.
+    """
+
+    input_kind: str
+    build: Callable[[Union[ScoreSample, VectorSample], MethodSettings], WindowMethod]
+
+
+METHODS: dict[str, MethodSpec] = {
+    "ours": MethodSpec(
+        "score",
+        lambda ref, s: CoverageDetectorMethod(
+            fit(ref, delta=s.delta, c_target_count=s.c_target_count)
+        ),
+    ),
+    "ks": MethodSpec("vector", lambda ref, s: KsMethod(ref, alpha=s.alpha)),
+    "mmd": MethodSpec(
+        "vector", lambda ref, s: MmdMethod(ref, alpha=s.alpha, n_permutations=s.n_permutations)
+    ),
+    "single-sr": MethodSpec(
+        "score", lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.SR, s.alpha)
+    ),
+    "single-ent": MethodSpec(
+        "score", lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.ENTROPY, s.alpha)
+    ),
+}
 
 
 class MetricsRow(NamedTuple):

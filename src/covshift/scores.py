@@ -16,10 +16,7 @@ import numpy as np
 __all__ = [
     "SOFTMAX_SUM_TOL",
     "ConfidenceFunction",
-    "SoftmaxVector",
-    "EmbeddingVector",
     "ScoreSample",
-    "compute_kappa",
     "load_scores",
 ]
 
@@ -57,43 +54,6 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SoftmaxVector:
-    """A probability vector over C classes."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_array(self.probs)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("softmax vector must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("softmax vector contains non-finite entries")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("softmax entries must lie in [0, 1]")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SOFTMAX_SUM_TOL:
-            raise ValueError(
-                f"softmax entries sum to {total}, outside 1 +/- {SOFTMAX_SUM_TOL}"
-            )
-        object.__setattr__(self, "probs", arr)
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A d-dimensional real feature vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_array(self.values)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("embedding vector must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("embedding vector contains non-finite entries")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class ScoreSample:
     """Immutable ordered sample of finite confidence scores."""
 
@@ -113,28 +73,13 @@ class ScoreSample:
         return int(self.scores.size)
 
 
-def _entropy(probs: np.ndarray) -> float:
-    # 0 * ln 0 = 0 by convention, so exact zeros contribute nothing.
-    positive = probs[probs > 0.0]
-    return float(-(positive * np.log(positive)).sum())
-
-
-def compute_kappa(vec: SoftmaxVector, cf: ConfidenceFunction) -> float:
-    """Scalar confidence score of a softmax vector under the given CF.
+def kappa_of_rows(rows: np.ndarray, cf: ConfidenceFunction) -> np.ndarray:
+    """Scalar confidence score of each validated softmax row under the given CF.
 
     softmax_response is the maximal probability; one_minus_entropy is
-    1 - H(p) with natural-log entropy (may be negative for many classes;
-    only the ordering matters downstream).
+    1 - H(p) with natural-log entropy and 0 * ln 0 = 0 (may be negative
+    for many classes; only the ordering matters downstream).
     """
-    if cf is ConfidenceFunction.SOFTMAX_RESPONSE:
-        return float(vec.probs.max())
-    if cf is ConfidenceFunction.ONE_MINUS_ENTROPY:
-        return 1.0 - _entropy(vec.probs)
-    raise ValueError(f"confidence function {cf.value} does not apply to softmax rows")
-
-
-def kappa_of_rows(rows: np.ndarray, cf: ConfidenceFunction) -> np.ndarray:
-    """Vectorized compute_kappa over validated softmax rows."""
     if cf is ConfidenceFunction.SOFTMAX_RESPONSE:
         return rows.max(axis=1)
     if cf is ConfidenceFunction.ONE_MINUS_ENTROPY:
@@ -190,7 +135,11 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
 
 
 def validate_softmax_rows(matrix: np.ndarray, path: str, first_line: int) -> None:
-    """Apply SoftmaxVector invariants row-wise, reporting line numbers."""
+    """Check that every row is a probability vector, reporting line numbers.
+
+    Entries must lie in [0, 1] and each row must sum to 1 within
+    SOFTMAX_SUM_TOL; callers check finiteness first.
+    """
     out_of_range = (matrix < 0.0) | (matrix > 1.0)
     if out_of_range.any():
         lineno = first_line + int(np.argwhere(out_of_range.any(axis=1))[0][0])

@@ -1,7 +1,7 @@
 """Selection with guaranteed coverage.
 
-Binary search over the sorted scores of a detection-training sample for a
-threshold whose coverage lower bound matches a target coverage. Each of
+Binary search over the ascending scores of a detection-training sample for
+a threshold whose coverage lower bound matches a target coverage. Each of
 the ceil(log2 m) iterations solves the binomial-tail bound at confidence
 delta / ceil(log2 m); the pair from the final iteration is returned.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "CoverageBound",
     "SgcIteration",
     "empirical_coverage",
-    "m_times_c",
     "iter_sgc",
     "run_sgc",
 ]
@@ -77,30 +76,19 @@ def empirical_coverage(theta: float, sample: ScoreSample) -> float:
     return float(np.count_nonzero(scores >= theta)) / scores.size
 
 
-def m_times_c(m: int, c_hat: float) -> int:
-    """Nearest-integer m * c_hat; exact for the multiples of 1/m SGC produces."""
-    return int(round(m * c_hat))
-
-
-def _coverage_from_sorted(sorted_scores: np.ndarray, theta: float) -> float:
-    m = sorted_scores.size
-    first_ge = int(np.searchsorted(sorted_scores, theta, side="left"))
-    return (m - first_ge) / m
-
-
-def iter_sgc(sample: ScoreSample, cfg: SgcConfig) -> list[SgcIteration]:
+def iter_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> list[SgcIteration]:
     """Run SGC and return the full binary-search trace.
 
-    Scores are sorted ascending; z is the 1-based index of the candidate
-    threshold. When the solved bound undershoots the target (b* <= c*)
-    the search moves toward higher coverage (z_max = z), otherwise toward
-    lower coverage (z_min = z).
+    sorted_scores must be ascending (np.sort of a sample's scores), so that
+    one sort serves every target coverage of a fit; z is the 1-based index
+    of the candidate threshold. When the solved bound undershoots the
+    target (b* <= c*) the search moves toward higher coverage (z_max = z),
+    otherwise toward lower coverage (z_min = z).
     """
-    m = len(sample)
+    m = sorted_scores.size
     if m < 2:
         raise ValueError(f"SGC requires a sample of size >= 2, got m={m}")
     k = math.ceil(math.log2(m))
-    sorted_scores = np.sort(sample.scores)
     per_iteration_delta = cfg.delta / k
 
     trace: list[SgcIteration] = []
@@ -108,8 +96,9 @@ def iter_sgc(sample: ScoreSample, cfg: SgcConfig) -> list[SgcIteration]:
     for i in range(1, k + 1):
         z = (z_min + z_max + 1) // 2
         theta = float(sorted_scores[z - 1])
-        c_hat = _coverage_from_sorted(sorted_scores, theta)
-        successes = m_times_c(m, c_hat)
+        # Scores >= theta, ties at theta included.
+        successes = m - int(np.searchsorted(sorted_scores, theta, side="left"))
+        c_hat = successes / m
         result = solve_bound(BoundQuery(m=m, successes=successes, delta=per_iteration_delta))
         trace.append(SgcIteration(i, z_min, z_max, z, theta, c_hat, result.b_star))
         if result.b_star <= cfg.target_coverage:
@@ -119,9 +108,9 @@ def iter_sgc(sample: ScoreSample, cfg: SgcConfig) -> list[SgcIteration]:
     return trace
 
 
-def run_sgc(sample: ScoreSample, cfg: SgcConfig) -> CoverageBound:
-    """Fit one coverage bound; returns the final iteration's pair verbatim."""
-    trace = iter_sgc(sample, cfg)
+def run_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> CoverageBound:
+    """Fit one coverage bound on ascending scores; returns the final iteration's pair."""
+    trace = iter_sgc(sorted_scores, cfg)
     last = trace[-1]
     return CoverageBound(
         c_target=cfg.target_coverage,

@@ -1,8 +1,8 @@
 """Shared statistical kernel.
 
-Special functions (log-gamma, regularized incomplete beta, Student-t CDF),
-the two-sample KS test, unbiased squared MMD with a permutation test,
-one- and two-sample t-tests, and seeded reproducible randomness.
+Special functions (regularized incomplete beta, Student-t CDF), the
+two-sample KS test, unbiased squared MMD with a permutation test, the
+Welch two-sample t-test, and seeded reproducible randomness.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -22,14 +22,12 @@ __all__ = [
     "RNG_ALGORITHM",
     "make_rng",
     "substream",
-    "log_gamma",
     "incomplete_beta",
     "student_t_cdf",
     "ks_two_sample",
     "mmd2_unbiased",
     "median_heuristic_bandwidth",
     "permutation_test_mmd",
-    "t_test_one_sample",
     "t_test_two_sample_welch",
 ]
 
@@ -74,13 +72,6 @@ class TestResult:
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the incomplete-beta continued fraction
@@ -402,29 +393,6 @@ def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> Test
 # ---------------------------------------------------------------------------
 # t-tests
 # ---------------------------------------------------------------------------
-
-def t_test_one_sample(values, popmean: float = 0.0, side: str = "greater") -> TestResult:
-    """One-sample t-test; the default side tests H1: mean > popmean.
-
-    Degenerate zero-variance samples resolve by the sign of the mean
-    (mean <= popmean cannot evidence the one-sided alternative).
-    """
-    if side != "greater":
-        raise ValueError(f"unsupported side {side!r}; only 'greater' is implemented")
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
-    if n < 2:
-        raise ValueError(f"t_test_one_sample requires n >= 2, got n={n}")
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    if sd == 0.0:
-        p = 1.0 if mean <= popmean else 0.0
-        stat = 0.0 if mean == popmean else math.copysign(math.inf, mean - popmean)
-        return TestResult(stat, p, "t_test_one_sample", {"df": n - 1, "degenerate": True})
-    t = (mean - popmean) / (sd / math.sqrt(n))
-    p = 1.0 - student_t_cdf(t, n - 1)
-    return TestResult(t, p, "t_test_one_sample", {"df": n - 1})
-
 
 def t_test_two_sample_welch(a, b, side: str = "two_sided") -> TestResult:
     """Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.

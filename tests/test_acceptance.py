@@ -116,7 +116,7 @@ def test_criterion_3_uniform_convergence_monte_carlo():
     simultaneous = 0
     for r in range(runs):
         scores = substream(777, r).random(m)
-        trace = iter_sgc(ScoreSample(scores), cfg)
+        trace = iter_sgc(np.sort(scores), cfg)
         # under U(0,1), the true coverage at theta is 1 - theta
         if any((1.0 - it.theta) < it.b_star for it in trace):
             simultaneous += 1

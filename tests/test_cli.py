@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covshift
 from covshift.cli import main
 from covshift.detector import load_model
 from covshift.eval import BetaDist, gen_scores
@@ -177,21 +181,31 @@ class TestEval:
 
 
 class TestBench:
-    def test_small_bench_csv(self, tmp_path):
+    @pytest.mark.parametrize("method", ["ours", "ks", "mmd", "single-sr", "single-ent"])
+    def test_small_bench_csv(self, tmp_path, method):
         out = tmp_path / "bench.csv"
-        rc = main(["bench", "--sizes", "1000,2000", "--window-size", "10",
-                   "--methods", "ours,ks", "--seed", "3", "--out", str(out)])
+        rc = main(["bench", "--sizes", "200,400", "--window-size", "10",
+                   "--methods", method, "--seed", "3", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "method,m,k,fit_seconds,detect_seconds"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            method, m, k, fit_s, detect_s = line.split(",")
-            assert method in ("ours", "ks")
-            assert int(m) in (1000, 2000)
+        assert len(lines) == 3
+        for line, size in zip(lines[1:], (200, 400)):
+            name, m, k, fit_s, detect_s = line.split(",")
+            assert name == method
+            assert int(m) == size
             assert int(k) == 10
             assert float(fit_s) >= 0.0
             assert float(detect_s) > 0.0
+
+    def test_unknown_method_rejected_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--sizes", "1000", "--methods", "ours,bogus", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err
+        assert not out.exists()
 
     def test_unsorted_sizes_rejected(self, tmp_path, capsys):
         rc = main(["bench", "--sizes", "2000,1000", "--out", str(tmp_path / "b.csv")])
@@ -212,3 +226,12 @@ class TestUsage:
     def test_unknown_command_exits_one(self, capsys):
         rc = main(["frobnicate"])
         assert rc == 1
+
+    def test_python_dash_m_runs_cli(self):
+        src = os.path.dirname(os.path.dirname(covshift.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "covshift", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "usage: covshift" in proc.stdout

@@ -76,6 +76,20 @@ class TestFit:
         with pytest.raises(ValueError, match="strictly increasing"):
             manual_model([pair, pair])
 
+    def test_sorts_sample_once(self, monkeypatch):
+        # all target coverages share one sort of the sample
+        calls = []
+        real_sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            calls.append(1)
+            return real_sort(*args, **kwargs)
+
+        sample = ScoreSample(substream(5, 0).random(1000))
+        monkeypatch.setattr(np, "sort", counting_sort)
+        fit(sample, delta=0.01, c_target_count=10)
+        assert len(calls) == 1
+
     def test_c_target_range_enforced(self):
         bad = CoverageBound(
             c_target=1.0, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5
@@ -131,6 +145,29 @@ class TestDetect:
         assert report.shift_detected
         assert report.p_value < 0.001
         assert report.v_statistic > 0.0
+
+    def test_hand_computed_p_value(self):
+        # b* = 0.5 at theta = 0.5; the window selects 1 of 3, so c_hat = 1/3
+        # <= b* and the terms are [0.5, 0.5, -0.5]: mean 1/6, sd sqrt(1/3),
+        # t = 0.5 on df = 2. The t_2 CDF is 1/2 + t / (2 sqrt(2 + t^2)),
+        # so p = 1/2 - 1/6 = 1/3.
+        pair = CoverageBound(
+            c_target=0.5, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5
+        )
+        report = detect(manual_model([pair]), ScoreSample([0.4, 0.4, 0.6]), alpha=0.05)
+        assert report.v_statistic == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert report.p_value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert not report.shift_detected
+
+    def test_constant_positive_terms_degenerate_p_zero(self):
+        # every instance is below theta, so every term equals b* and sd = 0
+        pair = CoverageBound(
+            c_target=0.5, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5
+        )
+        report = detect(manual_model([pair]), ScoreSample([0.1, 0.2, 0.3]), alpha=0.05)
+        assert report.v_statistic == 0.5
+        assert report.p_value == 0.0
+        assert report.shift_detected
 
     def test_window_size_validation(self, small_model):
         with pytest.raises(ValueError, match="k >= 2"):

@@ -3,73 +3,48 @@ import math
 import numpy as np
 import pytest
 
-from covshift.scores import (
-    ConfidenceFunction,
-    EmbeddingVector,
-    ScoreSample,
-    SoftmaxVector,
-    compute_kappa,
-    load_scores,
-)
+from covshift.scores import ConfidenceFunction, ScoreSample, kappa_of_rows, load_scores
+
+SR = ConfidenceFunction.SOFTMAX_RESPONSE
+ENTROPY = ConfidenceFunction.ONE_MINUS_ENTROPY
 
 
-class TestSoftmaxVector:
-    def test_accepts_valid(self):
-        v = SoftmaxVector(probs=[0.2, 0.3, 0.5])
-        assert v.probs.sum() == pytest.approx(1.0)
-
-    def test_accepts_within_tolerance(self):
-        SoftmaxVector(probs=[0.3333, 0.3333, 0.3333])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            SoftmaxVector(probs=[0.5, 0.6])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SoftmaxVector(probs=[1.2, -0.2])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            SoftmaxVector(probs=[float("nan"), 1.0])
-
-    def test_immutable(self):
-        v = SoftmaxVector(probs=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            v.probs[0] = 0.5
-
-
-class TestComputeKappa:
+class TestKappaOfRows:
     def test_one_hot_softmax_response(self):
-        v = SoftmaxVector(probs=[1.0, 0.0, 0.0])
-        assert compute_kappa(v, ConfidenceFunction.SOFTMAX_RESPONSE) == 1.0
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(kappa_of_rows(rows, SR), [1.0, 1.0])
 
     def test_one_hot_entropy(self):
         # entropy of a point mass is 0
-        v = SoftmaxVector(probs=[1.0, 0.0, 0.0])
-        assert compute_kappa(v, ConfidenceFunction.ONE_MINUS_ENTROPY) == 1.0
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(kappa_of_rows(rows, ENTROPY), [1.0, 1.0])
 
     def test_fair_coin_entropy(self):
-        v = SoftmaxVector(probs=[0.5, 0.5])
         expected = 1.0 - math.log(2.0)
-        assert compute_kappa(v, ConfidenceFunction.ONE_MINUS_ENTROPY) == pytest.approx(
+        assert kappa_of_rows(np.array([[0.5, 0.5]]), ENTROPY)[0] == pytest.approx(
             expected, abs=1e-12
         )
 
+    def test_exact_zeros_add_nothing(self):
+        # 0 * ln 0 = 0: a zero-probability class leaves the entropy unchanged
+        padded = kappa_of_rows(np.array([[0.5, 0.0, 0.5, 0.0]]), ENTROPY)
+        assert padded[0] == kappa_of_rows(np.array([[0.5, 0.5]]), ENTROPY)[0]
+
     def test_pure_function(self):
-        v = SoftmaxVector(probs=[0.1, 0.2, 0.7])
-        a = compute_kappa(v, ConfidenceFunction.ONE_MINUS_ENTROPY)
-        b = compute_kappa(v, ConfidenceFunction.ONE_MINUS_ENTROPY)
-        assert a == b
+        rows = np.array([[0.1, 0.2, 0.7]])
+        assert np.array_equal(kappa_of_rows(rows, ENTROPY), kappa_of_rows(rows, ENTROPY))
 
     def test_raw_passthrough_rejected(self):
-        v = SoftmaxVector(probs=[1.0, 0.0])
         with pytest.raises(ValueError):
-            compute_kappa(v, ConfidenceFunction.RAW_PASSTHROUGH)
+            kappa_of_rows(np.array([[1.0, 0.0]]), ConfidenceFunction.RAW_PASSTHROUGH)
 
+
+class TestConfidenceFunction:
     def test_from_name_aliases(self):
-        assert ConfidenceFunction.from_name("sr") is ConfidenceFunction.SOFTMAX_RESPONSE
-        assert ConfidenceFunction.from_name("entropy") is ConfidenceFunction.ONE_MINUS_ENTROPY
+        for short, full in (("sr", SR), ("entropy", ENTROPY)):
+            assert ConfidenceFunction.from_name(short) is full
+            assert ConfidenceFunction.from_name(full.value) is full
+        assert ConfidenceFunction.from_name("raw_passthrough") is ConfidenceFunction.RAW_PASSTHROUGH
         with pytest.raises(ValueError):
             ConfidenceFunction.from_name("nope")
 
@@ -96,15 +71,6 @@ class TestScoreSample:
         scores = rng.standard_normal(200)
         mapped = np.exp(scores)
         assert np.array_equal(np.argsort(scores), np.argsort(mapped))
-
-
-class TestEmbeddingVector:
-    def test_valid(self):
-        EmbeddingVector(values=[-1.5, 2.0, 0.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector(values=[1.0, float("inf")])
 
 
 class TestLoadScores:
@@ -141,9 +107,10 @@ class TestLoadScores:
 
     def test_softmax_csv_sr(self, tmp_path):
         path = tmp_path / "probs.csv"
-        path.write_text("1,0,0\n0.5,0.25,0.25\n")
+        # the last row sums to 0.9999, inside SOFTMAX_SUM_TOL
+        path.write_text("1,0,0\n0.5,0.25,0.25\n0.3333,0.3333,0.3333\n")
         s = load_scores(str(path), "softmax_csv", cf=ConfidenceFunction.SOFTMAX_RESPONSE)
-        assert np.array_equal(s.scores, [1.0, 0.5])
+        assert np.array_equal(s.scores, [1.0, 0.5, 0.3333])
         assert s.kappa_name == "softmax_response"
 
     def test_softmax_csv_bad_sum_reports_line(self, tmp_path):

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from covshift.scores import ScoreSample
-from covshift.sgc import SgcConfig, empirical_coverage, iter_sgc, m_times_c, run_sgc
+from covshift.sgc import SgcConfig, empirical_coverage, iter_sgc, run_sgc
 from covshift.stats import substream
 
 
@@ -21,21 +22,11 @@ class TestEmpiricalCoverage:
         assert empirical_coverage(0.2, s) == 1.0
 
 
-class TestMTimesC:
-    @pytest.mark.parametrize(
-        "m,c_hat,expected",
-        [(3, 2.0 / 3.0, 2), (1000, 0.0, 0), (7, 5.0 / 7.0, 5), (20000, 2138 / 20000, 2138)],
-    )
-    def test_exact_multiples(self, m, c_hat, expected):
-        assert m_times_c(m, c_hat) == expected
-
-
 class TestRunSgc:
     def test_m2_hand_trace(self):
         # k=1 iteration; z = ceil(3/2) = 2, theta = 0.7, c_hat = 1/2,
         # b* = solve_bound(2, 1, 0.1) = sqrt(0.1)
-        s = ScoreSample(scores=[0.3, 0.7])
-        cb = run_sgc(s, SgcConfig(delta=0.1, target_coverage=0.5))
+        cb = run_sgc(np.array([0.3, 0.7]), SgcConfig(delta=0.1, target_coverage=0.5))
         assert cb.iterations == 1
         assert cb.theta == 0.7
         assert cb.empirical_coverage_at_fit == 0.5
@@ -43,22 +34,21 @@ class TestRunSgc:
 
     def test_all_identical_scores_hit_full_coverage_convention(self):
         # every theta equals the tied score, c_hat = 1, successes = m
-        s = ScoreSample(scores=[0.5, 0.5, 0.5, 0.5])
-        cb = run_sgc(s, SgcConfig(delta=0.1, target_coverage=0.5))
+        cb = run_sgc(np.full(4, 0.5), SgcConfig(delta=0.1, target_coverage=0.5))
         assert cb.theta == 0.5
         assert cb.empirical_coverage_at_fit == 1.0
         assert cb.b_star == pytest.approx((0.1 / 2) ** 0.25, abs=1e-12)
 
     def test_determinism(self):
-        scores = substream(1, 0).random(257)
+        scores = np.sort(substream(1, 0).random(257))
         cfg = SgcConfig(delta=0.05, target_coverage=0.3)
-        a = run_sgc(ScoreSample(scores), cfg)
-        b = run_sgc(ScoreSample(scores), cfg)
+        a = run_sgc(scores, cfg)
+        b = run_sgc(scores, cfg)
         assert a == b
 
     def test_requires_m_at_least_two(self):
         with pytest.raises(ValueError):
-            run_sgc(ScoreSample(scores=[0.5]), SgcConfig(delta=0.1, target_coverage=0.5))
+            run_sgc(np.array([0.5]), SgcConfig(delta=0.1, target_coverage=0.5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -71,7 +61,7 @@ class TestRunSgc:
     def test_iteration_count_is_ceil_log2_m(self):
         for m in (2, 3, 4, 5, 1024, 1025):
             scores = substream(2, m).random(m)
-            cb = run_sgc(ScoreSample(scores), SgcConfig(delta=0.1, target_coverage=0.5))
+            cb = run_sgc(np.sort(scores), SgcConfig(delta=0.1, target_coverage=0.5))
             assert cb.iterations == math.ceil(math.log2(m))
 
     def test_monotone_transform_invariance(self):
@@ -79,8 +69,8 @@ class TestRunSgc:
         for seed in range(5):
             scores = substream(3, seed).standard_normal(300)
             mapped = scores**3 + 2.0 * scores  # strictly increasing on R
-            trace_a = iter_sgc(ScoreSample(scores), cfg)
-            trace_b = iter_sgc(ScoreSample(mapped), cfg)
+            trace_a = iter_sgc(np.sort(scores), cfg)
+            trace_b = iter_sgc(np.sort(mapped), cfg)
             for ita, itb in zip(trace_a, trace_b):
                 assert ita.z == itb.z
                 assert ita.c_hat == itb.c_hat
@@ -91,7 +81,7 @@ class TestRunSgc:
     def test_search_state_invariants(self):
         for m in (2, 5, 9, 64, 100, 1000):
             scores = substream(4, m).random(m)
-            trace = iter_sgc(ScoreSample(scores), SgcConfig(delta=0.05, target_coverage=0.5))
+            trace = iter_sgc(np.sort(scores), SgcConfig(delta=0.05, target_coverage=0.5))
             for it in trace:
                 # z_min < z_max holds at the start of every iteration
                 assert 1 <= it.z_min < it.z_max <= m
@@ -106,7 +96,7 @@ class TestRunSgc:
         n_trials = 500
         for i in range(n_trials):
             scores = substream(555, i).random(1000)
-            cb = run_sgc(ScoreSample(scores), cfg)
+            cb = run_sgc(np.sort(scores), cfg)
             assert cb.b_star <= 0.55
             fresh = substream(556, i).random(100_000)
             if (fresh >= cb.theta).mean() > cb.b_star:
