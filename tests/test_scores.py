@@ -3,13 +3,50 @@ import math
 import numpy as np
 import pytest
 
+from covshift.baselines import VectorKind, VectorSample
 from covshift.scores import ConfidenceFunction, ScoreSample, kappa_of_rows, load_scores
 
 SR = ConfidenceFunction.SOFTMAX_RESPONSE
 ENTROPY = ConfidenceFunction.ONE_MINUS_ENTROPY
 
 
-class TestKappaOfRows:
+def softmax_vector(probs):
+    return VectorSample(vectors=[probs], kind=VectorKind.SOFTMAX)
+
+
+def embedding_vector(values):
+    return VectorSample(vectors=[values], kind=VectorKind.EMBEDDING)
+
+
+class TestSoftmaxVector:
+    def test_accepts_valid(self):
+        v = softmax_vector([0.2, 0.3, 0.5])
+        assert v.vectors[0].sum() == pytest.approx(1.0)
+
+    def test_accepts_within_tolerance(self):
+        softmax_vector([0.3333, 0.3333, 0.3333])  # sums to 0.9999
+
+    def test_rejects_bad_sum(self):
+        with pytest.raises(ValueError, match="sum"):
+            softmax_vector([0.5, 0.6])
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            softmax_vector([1.2, -0.2])  # sums to 1
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            softmax_vector([float("nan"), 1.0])
+
+    def test_immutable(self):
+        v = softmax_vector([1.0, 0.0])
+        with pytest.raises(ValueError):
+            v.vectors[0, 0] = 0.5
+
+
+class TestComputeKappa:
+    """kappa over softmax rows, as load_scores computes it (kappa_of_rows)."""
+
     def test_one_hot_softmax_response(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(kappa_of_rows(rows, SR), [1.0, 1.0])
@@ -38,8 +75,6 @@ class TestKappaOfRows:
         with pytest.raises(ValueError):
             kappa_of_rows(np.array([[1.0, 0.0]]), ConfidenceFunction.RAW_PASSTHROUGH)
 
-
-class TestConfidenceFunction:
     def test_from_name_aliases(self):
         for short, full in (("sr", SR), ("entropy", ENTROPY)):
             assert ConfidenceFunction.from_name(short) is full
@@ -71,6 +106,15 @@ class TestScoreSample:
         scores = rng.standard_normal(200)
         mapped = np.exp(scores)
         assert np.array_equal(np.argsort(scores), np.argsort(mapped))
+
+
+class TestEmbeddingVector:
+    def test_valid(self):
+        embedding_vector([-1.5, 2.0, 0.0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            embedding_vector([1.0, float("inf")])
 
 
 class TestLoadScores:
@@ -107,10 +151,9 @@ class TestLoadScores:
 
     def test_softmax_csv_sr(self, tmp_path):
         path = tmp_path / "probs.csv"
-        # the last row sums to 0.9999, inside SOFTMAX_SUM_TOL
-        path.write_text("1,0,0\n0.5,0.25,0.25\n0.3333,0.3333,0.3333\n")
+        path.write_text("1,0,0\n0.5,0.25,0.25\n")
         s = load_scores(str(path), "softmax_csv", cf=ConfidenceFunction.SOFTMAX_RESPONSE)
-        assert np.array_equal(s.scores, [1.0, 0.5, 0.3333])
+        assert np.array_equal(s.scores, [1.0, 0.5])
         assert s.kappa_name == "softmax_response"
 
     def test_softmax_csv_bad_sum_reports_line(self, tmp_path):
