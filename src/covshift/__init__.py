@@ -39,7 +39,7 @@ from .eval import (
     run_trials,
 )
 from .scores import ConfidenceFunction, ScoreSample, load_scores
-from .sgc import CoverageBound, SgcConfig, empirical_coverage, run_sgc
+from .sgc import CoverageBound, SgcConfig, run_sgc
 from .stats import (
     TestResult,
     incomplete_beta,
@@ -79,7 +79,6 @@ __all__ = [
     "detect_mmd",
     "detect_single_instance",
     "detection_error_and_fpr_at_95tpr",
-    "empirical_coverage",
     "fit",
     "gen_scores",
     "gen_vectors",

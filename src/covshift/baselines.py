@@ -9,7 +9,7 @@ the complexity benchmark measures against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -56,19 +56,25 @@ class SingleInstanceEstimator(enum.Enum):
 
 @dataclass(frozen=True)
 class VectorSample:
-    """Immutable sample of equal-length vectors (softmax or embedding rows)."""
+    """Immutable sample of equal-length vectors (softmax or embedding rows).
+
+    Softmax rows are validated once, here; ``source`` and ``first_line``
+    only label the errors (file path and line of the first row).
+    """
 
     vectors: np.ndarray
     kind: VectorKind
+    source: InitVar[str] = "<in-memory>"
+    first_line: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, source: str, first_line: int) -> None:
         arr = np.array(self.vectors, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("vector sample must be a nonempty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vector sample contains non-finite entries")
         if self.kind is VectorKind.SOFTMAX:
-            validate_softmax_rows(arr, "<in-memory>", first_line=1)
+            validate_softmax_rows(arr, source, first_line)
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -86,9 +92,7 @@ def load_vectors(path: str, kind: VectorKind, header: bool = False) -> VectorSam
     Embedding files share the CSV shape but skip the sum-to-one check.
     """
     matrix, first_line = read_csv_matrix(path, header=header)
-    if kind is VectorKind.SOFTMAX:
-        validate_softmax_rows(matrix, path, first_line)
-    return VectorSample(vectors=matrix, kind=kind)
+    return VectorSample(vectors=matrix, kind=kind, source=path, first_line=first_line)
 
 
 def _check_dims(ref: VectorSample, window: VectorSample) -> None:

@@ -15,13 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundQuery, solve_bound
-from .scores import ScoreSample
 
 __all__ = [
     "SgcConfig",
     "CoverageBound",
     "SgcIteration",
-    "empirical_coverage",
     "iter_sgc",
     "run_sgc",
 ]
@@ -68,12 +66,6 @@ class SgcIteration(NamedTuple):
     theta: float
     c_hat: float
     b_star: float
-
-
-def empirical_coverage(theta: float, sample: ScoreSample) -> float:
-    """Fraction of sample scores >= theta (ties at theta are selected)."""
-    scores = sample.scores
-    return float(np.count_nonzero(scores >= theta)) / scores.size
 
 
 def iter_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> list[SgcIteration]:

@@ -270,14 +270,26 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Pairwise squared Euclidean distances, clipped at 0 against rounding.
     sq = (
         np.sum(x * x, axis=1)[:, None]
         + np.sum(y * y, axis=1)[None, :]
         - 2.0 * (x @ y.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+    return sq
+
+
+def _rbf_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    # exp(-sq / (2 sigma^2)) written over sq: the same bits as a fresh
+    # array, with one matrix alive instead of three.
+    np.divide(sq, -(2.0 * bandwidth * bandwidth), out=sq)
+    return np.exp(sq, out=sq)
+
+
+def _rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
+    return _rbf_in_place(_sq_distances(x, y), bandwidth)
 
 
 def mmd2_unbiased(x, y, bandwidth: float) -> float:
@@ -306,26 +318,12 @@ def mmd2_unbiased(x, y, bandwidth: float) -> float:
     return float(term_xx + term_yy - 2.0 * term_xy)
 
 
-def median_heuristic_bandwidth(x, y) -> float:
-    """RBF bandwidth sigma with 2*sigma^2 = median pairwise distance.
-
-    The median is taken over plain Euclidean distances of all unordered
-    pairs in the pooled sample (self-pairs excluded). A zero median falls
-    back to the smallest positive distance; all-identical points are an
-    error.
-    """
-    pooled = np.vstack([_as_matrix(x, "x"), _as_matrix(y, "y")])
-    n = pooled.shape[0]
+def _median_bandwidth(sq: np.ndarray) -> float:
+    # Median heuristic over the pooled squared-distance matrix sq.
+    n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic requires a pooled sample of size >= 2")
-    sq = (
-        np.sum(pooled * pooled, axis=1)[:, None]
-        + np.sum(pooled * pooled, axis=1)[None, :]
-        - 2.0 * (pooled @ pooled.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    iu = np.triu_indices(n, k=1)
-    dists = np.sqrt(sq[iu])
+    dists = np.sqrt(sq[np.triu_indices(n, k=1)])
     med = float(np.median(dists))
     if med == 0.0:
         positive = dists[dists > 0]
@@ -335,25 +333,34 @@ def median_heuristic_bandwidth(x, y) -> float:
     return math.sqrt(med / 2.0)
 
 
-def _mmd2_from_kernel(k: np.ndarray, idx_x: np.ndarray, idx_y: np.ndarray) -> float:
-    k_xx = k[np.ix_(idx_x, idx_x)]
-    k_yy = k[np.ix_(idx_y, idx_y)]
-    k_xy = k[np.ix_(idx_x, idx_y)]
-    m, n = idx_x.size, idx_y.size
-    term_xx = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
-    term_yy = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
-    term_xy = k_xy.sum() / (m * n)
-    return float(term_xx + term_yy - 2.0 * term_xy)
+def median_heuristic_bandwidth(x, y) -> float:
+    """RBF bandwidth sigma with 2*sigma^2 = median pairwise distance.
+
+    The median is taken over plain Euclidean distances of all unordered
+    pairs in the pooled sample (self-pairs excluded). A zero median falls
+    back to the smallest positive distance; all-identical points are an
+    error.
+    """
+    pooled = np.vstack([_as_matrix(x, "x"), _as_matrix(y, "y")])
+    return _median_bandwidth(_sq_distances(pooled, pooled))
 
 
 def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> TestResult:
     """Permutation test for the unbiased squared MMD.
 
-    The bandwidth comes from the pooled median heuristic computed once;
-    the pooled kernel matrix is computed once and only its rows/columns
-    are permuted. p = (1 + #{perm >= observed}) / (1 + n_permutations).
-    Each permutation draws from a substream of (seed, permutation index),
-    so the result is independent of evaluation order.
+    One pooled squared-distance matrix gives both the median-heuristic
+    bandwidth and, overwritten in place, the RBF kernel K. Permutation i
+    draws substream(seed, i).permutation(m + n) and splits it into the
+    first m (x) and the remaining n (y) pooled rows. The smaller group of
+    the observed split and of every permutation becomes one column of a
+    0/1 indicator matrix A, and a single product K @ A yields every
+    within-group sum a'Ka; the cross and other-group sums follow from
+    the row sums and the total of K. p = (1 + #{perm >= observed}) /
+    (1 + n_permutations). A permutation that reproduces the observed
+    partition (for m == n, also with the groups swapped) has the observed
+    statistic in exact arithmetic and counts as >= observed, whatever the
+    rounding. Each permutation comes from its own substream, so the
+    result is independent of evaluation order.
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -365,18 +372,39 @@ def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> Test
         raise ValueError(
             f"dimension mismatch: x has d={xm.shape[1]}, y has d={ym.shape[1]}"
         )
-    bandwidth = median_heuristic_bandwidth(xm, ym)
     pooled = np.vstack([xm, ym])
-    kernel = _rbf_kernel(pooled, pooled, bandwidth)
-    m = xm.shape[0]
-    total = pooled.shape[0]
-    observed = _mmd2_from_kernel(kernel, np.arange(m), np.arange(m, total))
-    n_ge = 0
+    m, n = xm.shape[0], ym.shape[0]
+    total = m + n
+    sq = _sq_distances(pooled, pooled)
+    bandwidth = _median_bandwidth(sq)
+    kernel = _rbf_in_place(sq, bandwidth)
+
+    # Row 0 is the observed smaller group, row i + 1 that of permutation i,
+    # each sorted so that equal groups compare equal.
+    x_smaller = m <= n
+    groups = np.empty((n_permutations + 1, min(m, n)), dtype=np.intp)
+    groups[0] = np.arange(m) if x_smaller else np.arange(m, total)
     for i in range(n_permutations):
         perm = substream(seed, i).permutation(total)
-        stat = _mmd2_from_kernel(kernel, perm[:m], perm[m:])
-        if stat >= observed:
-            n_ge += 1
+        groups[i + 1] = perm[:m] if x_smaller else perm[m:]
+    groups[1:].sort(axis=1)
+    same_split = np.all(groups == groups[0], axis=1)
+    if m == n:
+        same_split |= np.all(groups == np.arange(m, total), axis=1)
+
+    # The unbiased estimator leaves out i == j. For every column a of the
+    # indicator, with b = 1 - a: in_in = a'Ka, in_all = a'K1, out_out = b'Kb.
+    np.fill_diagonal(kernel, 0.0)
+    indicator = np.zeros((total, n_permutations + 1))
+    indicator[groups.T, np.arange(n_permutations + 1)] = 1.0
+    row_sums = kernel.sum(axis=1)
+    in_in = np.einsum("ij,ij->j", indicator, kernel @ indicator)
+    in_all = row_sums @ indicator
+    out_out = row_sums.sum() - 2.0 * in_all + in_in
+    xx, yy = (in_in, out_out) if x_smaller else (out_out, in_in)
+    mmd2 = xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * ((in_all - in_in) / (m * n))
+    observed = float(mmd2[0])
+    n_ge = int(np.count_nonzero((mmd2[1:] >= observed) | same_split[1:]))
     p = (1 + n_ge) / (1 + n_permutations)
     return TestResult(
         statistic=observed,

@@ -2,13 +2,17 @@
 
 These deliberately re-derive expected values through different code paths
 than the library: direct log-space summation on a fixed grid for the
-bound solver, a plain double loop for MMD, and hand ECDF enumeration for
-KS. They must stay independent of the implementations they check.
+bound solver, a plain double loop for MMD, one kernel re-indexing per
+permutation for the MMD permutation test (sharing only the seeded
+substreams), and hand ECDF enumeration for KS. They must stay
+independent of the implementations they check.
 """
 
 import math
 
 import numpy as np
+
+from covshift.stats import substream
 
 GRID_STEP = 1e-6
 _COARSE = 1000  # coarse stride in grid units
@@ -84,3 +88,37 @@ def ks_statistic_enumerated(a, b) -> float:
         fb = sum(1 for v in b if v <= point) / len(b)
         best = max(best, abs(fa - fb))
     return best
+
+
+def mmd_permutation_loop(x, y, bandwidth: float, n_permutations: int, seed: int):
+    """Permutation MMD test re-indexing the pooled kernel once per permutation.
+
+    The per-permutation definition the library's batched test must match:
+    permutation i draws substream(seed, i).permutation(m + n), its first m
+    pooled rows form x, and p = (1 + #{perm >= observed}) / (1 +
+    n_permutations).
+    """
+    pooled = np.vstack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
+    norms = np.sum(pooled * pooled, axis=1)
+    sq = norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T)
+    np.maximum(sq, 0.0, out=sq)
+    kernel = np.exp(-sq / (2.0 * bandwidth * bandwidth))
+
+    def mmd2(idx_x, idx_y):
+        k_xx = kernel[np.ix_(idx_x, idx_x)]
+        k_yy = kernel[np.ix_(idx_y, idx_y)]
+        k_xy = kernel[np.ix_(idx_x, idx_y)]
+        m, n = idx_x.size, idx_y.size
+        term_xx = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
+        term_yy = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
+        term_xy = k_xy.sum() / (m * n)
+        return float(term_xx + term_yy - 2.0 * term_xy)
+
+    m, total = len(x), pooled.shape[0]
+    observed = mmd2(np.arange(m), np.arange(m, total))
+    n_ge = 0
+    for i in range(n_permutations):
+        perm = substream(seed, i).permutation(total)
+        if mmd2(perm[:m], perm[m:]) >= observed:
+            n_ge += 1
+    return (1 + n_ge) / (1 + n_permutations)

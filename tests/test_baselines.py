@@ -10,7 +10,7 @@ from covshift.baselines import (
     detect_single_instance,
     load_vectors,
 )
-from covshift.scores import ScoreSample
+from covshift.scores import ScoreSample, validate_softmax_rows
 from covshift.stats import ks_two_sample, substream
 
 
@@ -51,6 +51,24 @@ class TestLoadVectors:
         path.write_text("0.9,0.2\n")
         with pytest.raises(ValueError, match="line 1"):
             load_vectors(str(path), VectorKind.SOFTMAX)
+
+    def test_softmax_validated_once_naming_file_and_line(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_softmax_rows(*args)
+
+        monkeypatch.setattr("covshift.baselines.validate_softmax_rows", counting)
+        path = tmp_path / "probs.csv"
+        path.write_text("p0,p1\n0.5,0.5\n0.7,0.2\n")
+        with pytest.raises(ValueError) as err:
+            load_vectors(str(path), VectorKind.SOFTMAX, header=True)
+        assert str(err.value).startswith(f"{path}: line 3: row sums to 0.8")
+        assert len(calls) == 1
+        path.write_text("0.5,0.5\n0.25,0.75\n")
+        assert len(load_vectors(str(path), VectorKind.SOFTMAX)) == 2
+        assert len(calls) == 2
 
 
 class TestDetectKs:

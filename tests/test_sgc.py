@@ -3,23 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from covshift.scores import ScoreSample
-from covshift.sgc import SgcConfig, empirical_coverage, iter_sgc, run_sgc
+from covshift.sgc import SgcConfig, iter_sgc, run_sgc
 from covshift.stats import substream
-
-
-class TestEmpiricalCoverage:
-    def test_theta_below_min_selects_all(self):
-        s = ScoreSample(scores=[0.4, 0.7, 0.9])
-        assert empirical_coverage(0.1, s) == 1.0
-
-    def test_tie_at_threshold_included(self):
-        s = ScoreSample(scores=[0.1, 0.5, 0.9])
-        assert empirical_coverage(0.5, s) == pytest.approx(2.0 / 3.0)
-
-    def test_duplicates_at_threshold_all_selected(self):
-        s = ScoreSample(scores=[0.2, 0.2, 0.8])
-        assert empirical_coverage(0.2, s) == 1.0
 
 
 class TestRunSgc:

@@ -17,7 +17,7 @@ from covshift.stats import (
     substream,
     t_test_two_sample_welch,
 )
-from oracles import ks_statistic_enumerated, mmd2_double_loop
+from oracles import ks_statistic_enumerated, mmd2_double_loop, mmd_permutation_loop
 
 
 class TestSpecialFunctions:
@@ -234,6 +234,48 @@ class TestPermutationMmd:
         r = permutation_test_mmd(x, y, n_permutations=10, seed=0)
         assert r.statistic == pytest.approx(mmd2_unbiased(x, y, sigma), abs=1e-12)
         assert r.detail["bandwidth"] == pytest.approx(sigma)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    def test_reproduced_split_always_counted(self, m, n):
+        # Tiny samples make permutations that reproduce the observed
+        # partition common (for m == n also with the groups swapped). Each
+        # has the observed statistic in exact arithmetic and must count as
+        # >= observed, whatever the rounding; every other partition counts
+        # by its own statistic.
+        observed_split = {frozenset(range(m)), frozenset(range(m, m + n))}
+        for data_seed in range(10):
+            rng = np.random.default_rng(data_seed)
+            x = rng.standard_normal((m, 2))
+            y = rng.standard_normal((n, 2)) + 6.0
+            pooled = np.vstack([x, y])
+            sigma = median_heuristic_bandwidth(x, y)
+            observed = mmd2_unbiased(x, y, sigma)
+            for seed in range(2):
+                expected = 0
+                for i in range(200):
+                    perm = substream(seed, i).permutation(m + n)
+                    split = {frozenset(perm[:m].tolist()), frozenset(perm[m:].tolist())}
+                    if split == observed_split:
+                        expected += 1
+                        continue
+                    stat = mmd2_unbiased(pooled[perm[:m]], pooled[perm[m:]], sigma)
+                    assert abs(stat - observed) > 1e-9
+                    expected += stat > observed
+                r = permutation_test_mmd(x, y, n_permutations=200, seed=seed)
+                assert r.p_value == (1 + expected) / 201
+
+    @pytest.mark.parametrize("m, n", [(12, 30), (30, 12), (20, 20)])
+    @pytest.mark.parametrize("n_permutations", [1, 7, 100])
+    def test_matches_per_permutation_definition(self, m, n, n_permutations):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((m, 3))
+            y = rng.standard_normal((n, 3)) + 0.4
+            r = permutation_test_mmd(x, y, n_permutations=n_permutations, seed=seed)
+            sigma = median_heuristic_bandwidth(x, y)
+            assert r.p_value == mmd_permutation_loop(x, y, sigma, n_permutations, seed)
+            assert r.detail["bandwidth"] == sigma
+            assert abs(r.statistic - mmd2_unbiased(x, y, sigma)) <= 1e-12
 
 
 class TestTTests:
