@@ -139,14 +139,13 @@ def detect_mmd(
     alpha: float,
     n_permutations: int = 100,
     seed: int = 0,
-    ref_cap: int = MMD_REF_CAP_DEFAULT,
 ) -> TestResult:
     """MMD permutation test, with the reference capped by seeded subsampling."""
     _check_dims(ref, window)
     ref_rows = ref.vectors
-    capped = len(ref) > ref_cap
+    capped = len(ref) > MMD_REF_CAP_DEFAULT
     if capped:
-        idx = substream(seed, 0).choice(len(ref), size=ref_cap, replace=False)
+        idx = substream(seed, 0).choice(len(ref), size=MMD_REF_CAP_DEFAULT, replace=False)
         ref_rows = ref.vectors[np.sort(idx)]
     inner = permutation_test_mmd(
         ref_rows, window.vectors, n_permutations=n_permutations, seed=seed
@@ -155,7 +154,7 @@ def detect_mmd(
     detail.update(
         {
             "ref_rows_used": int(ref_rows.shape[0]),
-            "ref_cap": ref_cap,
+            "ref_cap": MMD_REF_CAP_DEFAULT,
             "capped": capped,
             "reject": inner.p_value < alpha,
             "alpha": alpha,

@@ -143,9 +143,18 @@ def _as_vectors(sample: ScoreSample) -> VectorSample:
     return VectorSample(sample.scores[:, None], kind=VectorKind.EMBEDDING)
 
 
+def _load_raw_vectors(path: str) -> VectorSample:
+    # A raw score file is a one-column CSV; its scores act as 1-D
+    # embedding vectors. --header does not apply to raw files.
+    pool = load_vectors(path, VectorKind.EMBEDDING)
+    if pool.dim != 1:
+        raise ValueError(f"{path}: raw score file has {pool.dim} columns, expected 1")
+    return pool
+
+
 def _load_vector_pools(args):
     if args.format == "raw":
-        loader = lambda path: _as_vectors(load_scores(path, "raw_scores"))
+        loader = _load_raw_vectors
     else:
         kind = VectorKind(args.format)
         loader = lambda path: load_vectors(path, kind, header=args.header)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,6 +77,10 @@ class DetectorModel:
             raise ValueError(f"c_targets must lie in [0.1, 1), got {targets}")
         if any(prev >= nxt for prev, nxt in zip(targets, targets[1:])):
             raise ValueError(f"c_targets must be strictly increasing, got {targets}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.m < 2:
+            raise ValueError(f"m must be >= 2, got {self.m}")
 
 
 class CoverageCheck(NamedTuple):
@@ -230,13 +235,31 @@ def save_model(model: DetectorModel, path: str) -> None:
     write_atomic(path, json.dumps(_model_payload(model), indent=2) + "\n")
 
 
+def _new_file_mode(path: str) -> int:
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temp file in the same directory and a rename."""
+    """Write text to path through a temp file in the same directory and a rename.
+
+    The file keeps the mode of the file it replaces, or gets the mode a
+    plain open() would give it (0o666 less the umask); mkstemp's 0600
+    would otherwise survive the rename. The data is synced to disk before
+    the rename.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, _new_file_mode(path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Protocol, Union
 import numpy as np
 
 from .baselines import (
-    MMD_REF_CAP_DEFAULT,
     SingleInstanceEstimator,
     VectorKind,
     VectorSample,
@@ -359,7 +358,6 @@ class MmdMethod:
     ref: VectorSample
     alpha: float = 0.05
     n_permutations: int = 100
-    ref_cap: int = MMD_REF_CAP_DEFAULT
     name: str = "mmd"
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
@@ -369,7 +367,6 @@ class MmdMethod:
             self.alpha,
             n_permutations=self.n_permutations,
             seed=seed,
-            ref_cap=self.ref_cap,
         ).p_value
 
 

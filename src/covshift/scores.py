@@ -2,14 +2,16 @@
 
 A ScoreSample is an immutable ordered collection of per-instance
 confidence scores. Scores are either supplied directly (one float per
-line) or derived from softmax rows through a confidence-rate function.
+line, a one-column CSV) or derived from softmax rows through a
+confidence-rate function.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -92,46 +94,79 @@ def kappa_of_rows(rows: np.ndarray, cf: ConfidenceFunction) -> np.ndarray:
 def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     """Parse a comma-separated numeric file into an (n, d) matrix.
 
-    Returns the matrix and the 1-based line number of its first data row
-    so callers can report errors against original line numbers. Rows must
-    all have the same width; a single trailing newline is tolerated.
+    This is the one numeric text reader: a raw score file is its
+    one-column case. Returns the matrix and the 1-based line number of its
+    first data row so callers can report errors against original line
+    numbers. Rows must all have the same width; a single trailing newline
+    is tolerated. Cells take Python's float() syntax without digit-group
+    underscores or non-ASCII digits, since np.loadtxt parses them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: line 1: empty file")
     first_line = 1
     if header:
-        if not lines:
-            raise ValueError(f"{path}: empty file")
         lines = lines[1:]
         first_line = 2
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    rows = []
+        if not lines:
+            raise ValueError(f"{path}: line 2: no data rows")
+    try:
+        with warnings.catch_warnings():
+            # An input of blank lines only warns "no data"; the row count
+            # check below reports it instead.
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        _raise_first_bad_row(path, lines, first_line, exc)
+    # loadtxt skips blank lines, so a short matrix means the file has one.
+    if matrix.shape[0] != len(lines):
+        _raise_first_bad_row(path, lines, first_line, None)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        lineno = first_line + int(np.argwhere(bad)[0][0])
+        raise ValueError(f"{path}: line {lineno}: non-finite value")
+    return matrix, first_line
+
+
+def _is_number(cell: str) -> bool:
+    # np.loadtxt's float syntax: float()'s, less underscores and non-ASCII digits.
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(
+    path: str, lines: list[str], first_line: int, cause: ValueError | None
+) -> NoReturn:
+    """Raise the line-numbered error for the first row np.loadtxt could not take.
+
+    Only runs after np.loadtxt failed or skipped a blank line, so the
+    per-line Python work stays off the success path. The row checks
+    accept exactly what np.loadtxt accepts.
+    """
     width = None
     for offset, line in enumerate(lines):
         lineno = first_line + offset
         cells = line.strip().split(",")
         if cells == [""]:
             raise ValueError(f"{path}: line {lineno}: empty row")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: cannot parse row {line!r}") from None
+        if not all(map(_is_number, cells)):
+            raise ValueError(f"{path}: line {lineno}: cannot parse row {line!r}")
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = len(cells)
+        elif len(cells) != width:
             raise ValueError(
-                f"{path}: line {lineno}: row has {len(row)} columns, expected {width}"
+                f"{path}: line {lineno}: row has {len(cells)} columns, expected {width}"
             )
-        rows.append(row)
-    matrix = np.asarray(rows, dtype=np.float64)
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        lineno = first_line + int(np.argwhere(bad)[0][0])
-        raise ValueError(f"{path}: line {lineno}: non-finite value")
-    return matrix, first_line
+    raise ValueError(f"{path}: cannot parse file: {cause}") from cause
 
 
 def validate_softmax_rows(matrix: np.ndarray, path: str, first_line: int) -> None:
@@ -154,24 +189,6 @@ def validate_softmax_rows(matrix: np.ndarray, path: str, first_line: int) -> Non
         )
 
 
-def _load_raw_scores(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    values = np.empty(len(lines), dtype=np.float64)
-    for i, line in enumerate(lines):
-        try:
-            values[i] = float(line.strip())
-        except ValueError:
-            raise ValueError(f"{path}: line {i + 1}: cannot parse {line!r} as a float") from None
-        if not math.isfinite(values[i]):
-            raise ValueError(f"{path}: line {i + 1}: non-finite score")
-    return values
-
-
 def load_scores(
     path: str,
     format: str,
@@ -181,15 +198,21 @@ def load_scores(
 ) -> ScoreSample:
     """Load a ScoreSample from a raw_scores or softmax_csv file.
 
-    raw_scores holds one decimal float per line and is taken verbatim
-    (kappa_name raw_passthrough unless cf overrides the label).
+    raw_scores holds one decimal float per line, a one-column CSV, and is
+    taken verbatim (kappa_name raw_passthrough unless cf overrides the label).
     softmax_csv rows are validated as probability vectors and converted
     through the given confidence function.
     """
     if source_id is None:
         source_id = path
     if format == "raw_scores":
-        values = _load_raw_scores(path)
+        matrix, first_line = read_csv_matrix(path)
+        if matrix.shape[1] != 1:
+            raise ValueError(
+                f"{path}: line {first_line}: raw score file has {matrix.shape[1]} "
+                "columns, expected 1"
+            )
+        values = matrix[:, 0]
         name = (cf or ConfidenceFunction.RAW_PASSTHROUGH).value
         return ScoreSample(scores=values, kappa_name=name, source_id=source_id)
     if format == "softmax_csv":

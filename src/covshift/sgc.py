@@ -54,6 +54,8 @@ class CoverageBound:
     def __post_init__(self) -> None:
         if not 0.0 <= self.b_star <= 1.0:
             raise ValueError(f"b_star {self.b_star} outside [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

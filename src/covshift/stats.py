@@ -422,15 +422,13 @@ def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> Test
 # t-tests
 # ---------------------------------------------------------------------------
 
-def t_test_two_sample_welch(a, b, side: str = "two_sided") -> TestResult:
-    """Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
+def t_test_two_sample_welch(a, b) -> TestResult:
+    """Two-sided Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
 
     Both samples having zero variance is degenerate: equal means give
     p = 1 (no separation), different means give p = 0 (complete
     separation).
     """
-    if side != "two_sided":
-        raise ValueError(f"unsupported side {side!r}; only 'two_sided' is implemented")
     xs = np.asarray(a, dtype=np.float64)
     ys = np.asarray(b, dtype=np.float64)
     if xs.size < 2 or ys.size < 2:

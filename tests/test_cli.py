@@ -171,6 +171,16 @@ class TestEval:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_raw_pool_with_two_columns_rejected(self, tmp_path, train_file, capsys):
+        id_path, sh_path = self._pools(tmp_path)
+        sh_path.write_text("0.5,0.5\n0.25,0.75\n")
+        rc = main(["eval", "--method", "ks", "--train", str(train_file),
+                   "--id", str(id_path), "--shifted", str(sh_path),
+                   "--window-sizes", "10", "--trials", "2", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "raw score file has 2 columns, expected 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_undersized_pool_errors(self, tmp_path, train_file, capsys):
         id_path, sh_path = self._pools(tmp_path)
         rc = main(["eval", "--method", "ours", "--train", str(train_file),

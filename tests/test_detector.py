@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from covshift.detector import (
     load_model,
     save_model,
     violation_terms,
+    write_atomic,
 )
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
@@ -267,8 +270,55 @@ class TestModelSerialization:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
+    def _tampered(self, small_model, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(small_model, str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_non_finite_theta_rejected(self, small_model, tmp_path):
+        nan_theta = lambda p: p["pairs"][3].update(theta=float("nan"))
+        path = self._tampered(small_model, tmp_path, nan_theta)
+        with pytest.raises(ModelFormatError, match="theta"):
+            load_model(path)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 7.0, -0.01])
+    def test_delta_outside_unit_interval_rejected(self, small_model, tmp_path, delta):
+        path = self._tampered(small_model, tmp_path, lambda p: p.update(delta=delta))
+        with pytest.raises(ModelFormatError, match="delta"):
+            load_model(path)
+
+    @pytest.mark.parametrize("m", [-5, 0, 1])
+    def test_m_below_two_rejected(self, small_model, tmp_path, m):
+        path = self._tampered(small_model, tmp_path, lambda p: p.update(m=m))
+        with pytest.raises(ModelFormatError, match="m must be >= 2"):
+            load_model(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+class TestWriteAtomic:
+    def test_new_file_gets_mode_of_plain_open(self, tmp_path):
+        path = tmp_path / "out.csv"
+        old = os.umask(0o022)
+        try:
+            write_atomic(str(path), "a\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert path.read_text() == "a\n"
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_atomic(str(path), "new\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from covshift.baselines import VectorKind, VectorSample
-from covshift.scores import ConfidenceFunction, ScoreSample, kappa_of_rows, load_scores
+from covshift.scores import (
+    ConfidenceFunction,
+    ScoreSample,
+    kappa_of_rows,
+    load_scores,
+    read_csv_matrix,
+)
 
 SR = ConfidenceFunction.SOFTMAX_RESPONSE
 ENTROPY = ConfidenceFunction.ONE_MINUS_ENTROPY
@@ -187,3 +193,110 @@ class TestLoadScores:
         path.write_text("0.5\n")
         with pytest.raises(ValueError, match="format"):
             load_scores(str(path), "parquet")
+
+
+def _mixed_cells(n_cells):
+    """Cells in every float spelling the reader must parse exactly as float() does."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(n_cells) * 10.0 ** rng.integers(-8, 8, n_cells)
+    spellings = (
+        repr,
+        lambda v: f"{v:.4f}",
+        lambda v: f"{v:.17e}",
+        lambda v: f"{v:+.6E}",
+        lambda v: f"  {v!r} ",
+        lambda v: f"{abs(v):.3f}",
+    )
+    cells = [spellings[i % len(spellings)](float(v)) for i, v in enumerate(values)]
+    return ["-0.0", "+0", ".5", "5.", "1e-320", "1.7976931348623157e308"] + cells
+
+
+class TestReadCsvMatrix:
+    @pytest.mark.parametrize("width", [1, 10])
+    def test_values_equal_float_bit_for_bit(self, tmp_path, width):
+        cells = _mixed_cells(200 * width)
+        cells = cells[: len(cells) // width * width]
+        rows = [cells[i : i + width] for i in range(0, len(cells), width)]
+        path = tmp_path / "mixed.csv"
+        path.write_bytes("".join(",".join(r) + "\r\n" for r in rows).encode())
+        matrix, first_line = read_csv_matrix(str(path))
+        expected = np.array([[float(c) for c in r] for r in rows])
+        assert first_line == 1
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+        if width == 1:
+            sample = load_scores(str(path), "raw_scores")
+            assert sample.scores.tobytes() == expected[:, 0].tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize(
+        "body, line, match",
+        [
+            ("\n\n", 1, "empty row"),
+            ("0.5,0.5\n\n0.5,0.5\n", 2, "empty row"),
+            ("0.5,0.5\n0.5,0.5\n \t \n", 3, "empty row"),
+            ("0.5,0.5\n0.5,nope\n", 2, "cannot parse row"),
+            ("1,0\n0.5,0.25,0.25\n", 2, "row has 3 columns, expected 2"),
+            ("1,0\n0.5,0.5\n0.5,nan\n", 3, "non-finite value"),
+            ("1,0\n0.5,0.5\ninf,0\n", 3, "non-finite value"),
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, header, body, line, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(("p0,p1\n" if header else "") + body)
+        with pytest.raises(ValueError, match=f"^{path}: line {line + header}: {match}"):
+            read_csv_matrix(str(path), header=header)
+
+    def test_empty_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        for header in (False, True):
+            with pytest.raises(ValueError, match=f"^{path}: line 1: empty file$"):
+                read_csv_matrix(str(path), header=header)
+        path.write_text("p0,p1\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: no data rows$"):
+            read_csv_matrix(str(path), header=True)
+
+    @pytest.mark.parametrize("cell", ["1_0", "0.000_1", "\u0661", "\uff15"])
+    def test_float_spellings_outside_numpy_syntax_rejected(self, tmp_path, cell):
+        # float() accepts these; np.loadtxt's float syntax has no underscores
+        # or non-ASCII digits, so the reader rejects them, naming the line.
+        path = tmp_path / "scores.txt"
+        path.write_text(f"0.5\n{cell}\n0.25\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row"):
+            load_scores(str(path), "raw_scores")
+        path.write_text(f"0.5,0.5\n0.5,{cell}\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row"):
+            read_csv_matrix(str(path))
+
+    def test_raw_file_with_two_columns_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("0.5,0.5\n0.25,0.75\n")
+        with pytest.raises(
+            ValueError, match=f"^{path}: line 1: raw score file has 2 columns, expected 1$"
+        ):
+            load_scores(str(path), "raw_scores")
+
+    def test_raw_errors_use_the_csv_wording(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("0.9\nnope\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row 'nope'$"):
+            load_scores(str(path), "raw_scores")
+        path.write_text("0.9\n-inf\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: non-finite value$"):
+            load_scores(str(path), "raw_scores")
+        path.write_text("0.9\n  \n0.5\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: empty row$"):
+            load_scores(str(path), "raw_scores")
+        # As for CSVs, a cell that does not parse is reported before a
+        # non-finite value on an earlier line.
+        path.write_text("nan\nnope\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row 'nope'$"):
+            load_scores(str(path), "raw_scores")
+
+    def test_raw_file_ignores_header_flag(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("0.9\n0.5\n")
+        sample = load_scores(str(path), "raw_scores", header=True)
+        assert sample.scores.tolist() == [0.9, 0.5]
