@@ -26,7 +26,6 @@ from .detector import (
     fit,
     load_model,
     save_model,
-    violation_terms,
 )
 from .eval import (
     LabeledPValues,
@@ -98,5 +97,4 @@ __all__ = [
     "student_t_cdf",
     "substream",
     "t_test_two_sample_welch",
-    "violation_terms",
 ]

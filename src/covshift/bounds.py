@@ -5,14 +5,14 @@ parameter delta, solve_bound finds the minimal b with
 
     BinomialCDF(successes; m, b) <= 1 - delta
 
-by bisection. The CDF is evaluated in log space for small m and through
-the regularized incomplete beta identity for large m, so the solver stays
-stable up to very large sample sizes.
+by bisection. The CDF is a pmf sum in extended precision for small m and
+for tails thin relative to m, and otherwise goes through the regularized
+incomplete beta identity, so the solver stays stable up to very large
+sample sizes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,10 +23,6 @@ from .stats import incomplete_beta
 __all__ = ["BoundQuery", "BoundResult", "binomial_cdf", "solve_bound"]
 
 BISECTION_TOL = 1e-10
-
-# Above this sample size the direct log-space summation is replaced by the
-# incomplete-beta identity BinomialCDF(x; m, b) = I_{1-b}(m-x, x+1).
-_DIRECT_SUM_MAX_M = 1000
 
 # Tails narrower than this are summed directly even for huge m.
 _TAIL_SUM_MAX_TERMS = 100_000
@@ -63,16 +59,6 @@ class BoundResult:
             raise ValueError(f"b_star {self.b_star} outside [0, 1]")
 
 
-@lru_cache(maxsize=64)
-def _log_binom_coeffs(m: int, x: int) -> np.ndarray:
-    # ln C(m, j) for j = 0..x from exact integer coefficients; each entry
-    # is accurate to one ulp, so the summed CDF stays near machine
-    # precision.
-    out = np.array([math.log(math.comb(m, j)) for j in range(x + 1)])
-    out.setflags(write=False)
-    return out
-
-
 def binomial_cdf(x: int, m: int, b: float) -> float:
     """P(X <= x) for X ~ Binomial(m, b)."""
     if m < 1:
@@ -85,20 +71,15 @@ def binomial_cdf(x: int, m: int, b: float) -> float:
         return 1.0
     if b == 1.0:
         return 0.0
-    if m <= _DIRECT_SUM_MAX_M:
-        j = np.arange(x + 1)
-        log_terms = _log_binom_coeffs(m, x) + j * math.log(b) + (m - j) * math.log1p(-b)
-        peak = log_terms.max()
-        total = peak + math.log(np.exp(log_terms - peak).sum())
-        return min(1.0, math.exp(total))
-    # Tails thin relative to m are summed directly (the continued
-    # fraction converges slowly right at its symmetry switch, which is
-    # where extreme x/m ratios land); the bulk goes through the
-    # incomplete-beta identity. The upper tail of (m, b) is the lower
-    # tail of (m, 1-b); 1-b is exact here because a thin upper tail
-    # implies b >= 0.5 wherever the tail mass is non-negligible.
+    # Up to m = 1000, and for tails thin relative to m, the pmf is summed
+    # directly (the continued fraction converges slowly right at its
+    # symmetry switch, which is where extreme x/m ratios land); the bulk
+    # of large m goes through the incomplete-beta identity
+    # BinomialCDF(x; m, b) = I_{1-b}(m-x, x+1). The upper tail of (m, b)
+    # is the lower tail of (m, 1-b); 1-b is exact here because a thin
+    # upper tail implies b >= 0.5 wherever the tail mass is non-negligible.
     thin = min(m // 100, _TAIL_SUM_MAX_TERMS)
-    if x + 1 <= thin:
+    if m <= 1000 or x + 1 <= thin:
         return min(1.0, _lower_tail_sum(m, x, b))
     if m - x <= thin:
         return max(0.0, 1.0 - _lower_tail_sum(m, m - x - 1, 1.0 - b))

@@ -36,7 +36,6 @@ __all__ = [
     "DetectionReport",
     "coverage_grid",
     "fit",
-    "violation_terms",
     "detect",
     "save_model",
     "load_model",
@@ -134,58 +133,39 @@ def fit(
     )
 
 
-def _violation_matrix(
-    model: DetectorModel, window: ScoreSample
-) -> tuple[np.ndarray, tuple[CoverageCheck, ...]]:
-    if window.kappa_name != model.kappa_name:
-        raise ValueError(
-            f"window kappa {window.kappa_name!r} does not match "
-            f"model kappa {model.kappa_name!r}"
-        )
-    scores = window.scores
-    k = scores.size
-    terms = np.zeros((len(model.pairs), k))
-    checks = []
-    for j, pair in enumerate(model.pairs):
-        selected = (scores >= pair.theta).astype(np.float64)
-        c_hat = float(selected.mean())
-        violated = c_hat <= pair.b_star
-        if violated:
-            terms[j] = pair.b_star - selected
-        checks.append(CoverageCheck(pair.c_target, pair.b_star, c_hat, violated))
-    return terms, tuple(checks)
-
-
-def violation_terms(model: DetectorModel, window: ScoreSample) -> np.ndarray:
-    """Per-coverage, per-instance bound-violation terms; their mean is V.
-
-    For each coverage j the window's empirical coverage is compared with
-    the fitted bound; a violated coverage (c_hat <= b*, equality counts)
-    contributes (b*_j - g_j(x_i)) for every window instance i, a held
-    coverage contributes zeros. The flattened k * C_target values are
-    ordered coverage-major.
-    """
-    terms, _ = _violation_matrix(model, window)
-    return terms.ravel()
-
-
 def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> DetectionReport:
     """Test one window for distribution shift at significance alpha.
 
-    One-sided one-sample t-test of the k per-instance violation means
-    (each instance's violation terms averaged across coverages) against
-    zero. Testing at instance granularity respects the strong dependence
-    between coverages within one window; pooling all k * C_target terms
-    as i.i.d. would reject far above alpha on in-distribution windows.
-    An all-identical vector degenerates to p = 1 when the mean is <= 0
-    and p = 0 otherwise.
+    For each coverage j the window's empirical coverage c_hat_j at the
+    fitted threshold is compared with the fitted bound b*_j. A violated
+    coverage (c_hat_j <= b*_j, equality counts) contributes the term
+    b*_j - g_j(x_i) for every window instance i, where g_j(x_i) is 1 when
+    the score is selected (>= theta_j) and 0 otherwise; a held coverage
+    contributes zeros. V is the mean of all k * C_target terms.
+
+    The test is a one-sided one-sample t-test of the k per-instance
+    violation means (each instance's terms averaged across coverages)
+    against zero. Testing at instance granularity respects the strong
+    dependence between coverages within one window; pooling all
+    k * C_target terms as i.i.d. would reject far above alpha on
+    in-distribution windows. An all-identical vector degenerates to
+    p = 1 when the mean is <= 0 and p = 0 otherwise.
     """
     if len(window) < 2:
         raise ValueError(f"window must contain k >= 2 scores, got k={len(window)}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    terms, checks = _violation_matrix(model, window)
-    per_instance = terms.mean(axis=0)
+    if window.kappa_name != model.kappa_name:
+        raise ValueError(
+            f"window kappa {window.kappa_name!r} does not match "
+            f"model kappa {model.kappa_name!r}"
+        )
+    thetas = np.array([p.theta for p in model.pairs])
+    b_stars = np.array([p.b_star for p in model.pairs])
+    selected = window.scores >= thetas[:, None]
+    c_hat = selected.mean(axis=1)
+    violated = c_hat <= b_stars
+    per_instance = np.where(violated[:, None], b_stars[:, None] - selected, 0.0).mean(axis=0)
     n = per_instance.size
     mean = float(per_instance.mean())
     if mean < -1e-9:
@@ -197,6 +177,10 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
     else:
         t = mean / (sd / math.sqrt(n))
         p = 1.0 - student_t_cdf(t, n - 1)
+    checks = tuple(
+        CoverageCheck(pair.c_target, pair.b_star, c, viol)
+        for pair, c, viol in zip(model.pairs, c_hat.tolist(), violated.tolist())
+    )
     return DetectionReport(
         v_statistic=v,
         p_value=p,
@@ -267,6 +251,13 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _json_int(value: object, name: str) -> int:
+    # A count must be an integer literal: int() would truncate 500.9 and accept true.
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_model(path: str) -> DetectorModel:
     """Load a model file, checking format version and invariants."""
     try:
@@ -277,7 +268,7 @@ def load_model(path: str) -> DetectorModel:
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: model file must hold a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})"
         )
@@ -287,7 +278,7 @@ def load_model(path: str) -> DetectorModel:
                 c_target=float(p["c_target"]),
                 b_star=float(p["b_star"]),
                 theta=float(p["theta"]),
-                iterations=int(p["iterations"]),
+                iterations=_json_int(p["iterations"], "iterations"),
                 empirical_coverage_at_fit=float(p["empirical_coverage_at_fit"]),
             )
             for p in payload["pairs"]
@@ -295,10 +286,10 @@ def load_model(path: str) -> DetectorModel:
         model = DetectorModel(
             pairs=pairs,
             delta=float(payload["delta"]),
-            c_target_count=int(payload["c_target_count"]),
+            c_target_count=_json_int(payload["c_target_count"], "c_target_count"),
             kappa_name=str(payload["kappa_name"]),
-            m=int(payload["m"]),
-            format_version=int(version),
+            m=_json_int(payload["m"], "m"),
+            format_version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from None

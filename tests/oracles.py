@@ -4,7 +4,8 @@ These deliberately re-derive expected values through different code paths
 than the library: direct log-space summation on a fixed grid for the
 bound solver, a plain double loop for MMD, one kernel re-indexing per
 permutation for the MMD permutation test (sharing only the seeded
-substreams), and hand ECDF enumeration for KS. They must stay
+substreams), one pass per coverage pair for the detector's violation
+terms, and hand ECDF enumeration for KS. They must stay
 independent of the implementations they check.
 """
 
@@ -122,3 +123,26 @@ def mmd_permutation_loop(x, y, bandwidth: float, n_permutations: int, seed: int)
         if mmd2(perm[:m], perm[m:]) >= observed:
             n_ge += 1
     return (1 + n_ge) / (1 + n_permutations)
+
+
+def violation_means_loop(model, window):
+    """Per-instance violation means and per-coverage checks, one coverage at a time.
+
+    The definition the detector's single array pass must match: coverage j
+    selects the window scores >= theta_j; it is violated when the selected
+    share c_hat <= b*_j, and then adds b*_j - 1 for a selected instance and
+    b*_j for the others to a C x k term matrix that holds zeros elsewhere.
+    Returns the k column means of that matrix and one (c_target, b_star,
+    c_hat, violated) tuple per coverage, with Python float and bool values.
+    """
+    scores = window.scores
+    terms = np.zeros((len(model.pairs), scores.size))
+    checks = []
+    for j, pair in enumerate(model.pairs):
+        selected = (scores >= pair.theta).astype(np.float64)
+        c_hat = float(selected.mean())
+        violated = c_hat <= pair.b_star
+        if violated:
+            terms[j] = pair.b_star - selected
+        checks.append((pair.c_target, pair.b_star, c_hat, violated))
+    return terms.mean(axis=0), tuple(checks)

@@ -1,6 +1,9 @@
+import itertools
 import json
+import math
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +18,12 @@ from covshift.detector import (
     fit,
     load_model,
     save_model,
-    violation_terms,
     write_atomic,
 )
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
-from covshift.stats import substream
+from covshift.stats import student_t_cdf, substream
+from oracles import violation_means_loop
 
 
 def beta_scores(a, b, n, stream, index=0):
@@ -104,17 +107,18 @@ class TestFit:
 class TestViolationTerms:
     def test_no_violation_all_zero(self, small_model):
         window = ScoreSample(np.full(50, 2.0))  # above every theta
-        terms = violation_terms(small_model, window)
-        assert terms.shape == (50 * 10,)
-        assert np.all(terms == 0.0)
+        report = detect(small_model, window, alpha=0.05)
+        assert len(report.per_coverage) == 10
+        assert not any(check.violated for check in report.per_coverage)
+        assert report.v_statistic == 0.0
 
     def test_full_violation_terms_are_bounds(self, small_model):
         window = ScoreSample(np.full(40, -1.0))  # below every theta
-        terms = violation_terms(small_model, window)
+        report = detect(small_model, window, alpha=0.05)
+        assert all(check.violated for check in report.per_coverage)
+        assert all(check.empirical_coverage == 0.0 for check in report.per_coverage)
         expected_v = np.mean([p.b_star for p in small_model.pairs])
-        assert terms.mean() == pytest.approx(expected_v, abs=1e-15)
-        # coverage-major layout: first k terms all equal the first bound
-        assert np.all(terms[:40] == small_model.pairs[0].b_star)
+        assert report.v_statistic == pytest.approx(expected_v, abs=1e-15)
 
     def test_equality_violation_zero_contribution(self):
         pair = CoverageBound(
@@ -132,7 +136,7 @@ class TestViolationTerms:
     def test_kappa_mismatch_rejected(self, small_model):
         window = ScoreSample([0.5, 0.6], kappa_name="one_minus_entropy")
         with pytest.raises(ValueError, match="kappa"):
-            violation_terms(small_model, window)
+            detect(small_model, window, alpha=0.05)
 
 
 class TestDetect:
@@ -171,6 +175,65 @@ class TestDetect:
         assert report.v_statistic == 0.5
         assert report.p_value == 0.0
         assert report.shift_detected
+
+    def test_score_equal_to_theta_is_selected(self):
+        pair = CoverageBound(
+            c_target=0.5, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5
+        )
+        report = detect(manual_model([pair]), ScoreSample([0.5, 0.5, 0.4]), alpha=0.05)
+        check = report.per_coverage[0]
+        assert check.empirical_coverage == 2.0 / 3.0
+        assert not check.violated
+        assert report.v_statistic == 0.0
+        assert report.p_value == 1.0
+
+    def test_matches_per_coverage_loop(self):
+        # Models fitted on half-tied samples at every C in [1, 20], and the
+        # same models with b* snapped to a multiple of 1/20 so that c_hat == b*
+        # occurs; windows of k in [2, 200] drawn around the training
+        # distribution, some holding threshold values. Every report field,
+        # value and type, must equal the one-coverage-at-a-time definition.
+        ks = [2, 3, 4, 10, 20, 37, 40, 100, 200]
+        for c_count, snapped in itertools.product(range(1, 21), (False, True)):
+            rng = substream(4300 + snapped, c_count)
+            m = 400
+            tied = rng.integers(0, 20, size=m // 2) / 20.0
+            sample = np.concatenate([tied, rng.random(m - m // 2)])
+            model = fit(ScoreSample(sample), delta=0.05, c_target_count=c_count)
+            if snapped:
+                pairs = [replace(p, b_star=round(p.b_star * 20) / 20) for p in model.pairs]
+                model = replace(model, pairs=tuple(pairs))
+            thetas = np.array([p.theta for p in model.pairs])
+            for i, k in enumerate([*ks, *rng.integers(2, 201, size=5)]):
+                window = rng.beta(1.0 + i % 3, 1.0, size=k)
+                if i % 2:
+                    n_exact = int(rng.integers(1, k + 1))
+                    positions = rng.choice(k, size=n_exact, replace=False)
+                    window[positions] = rng.choice(thetas, size=n_exact)
+                if i % 5 == 4:
+                    window = np.round(window * 20.0) / 20.0
+                report = detect(model, ScoreSample(window), alpha=0.05)
+                means, checks = violation_means_loop(model, ScoreSample(window))
+                self._assert_report_equals(report, means, checks, alpha=0.05)
+
+    @staticmethod
+    def _assert_report_equals(report, means, checks, alpha):
+        n = means.size
+        mean = float(means.mean())
+        sd = float(means.std(ddof=1))
+        if sd == 0.0:
+            p = 1.0 if mean <= 0.0 else 0.0
+        else:
+            p = 1.0 - student_t_cdf(mean / (sd / math.sqrt(n)), n - 1)
+        assert report.v_statistic == max(0.0, mean)
+        assert report.p_value == p
+        assert report.shift_detected == (p < alpha)
+        assert report.window_size == n
+        assert [tuple(c) for c in report.per_coverage] == list(checks)
+        assert [tuple(map(type, c)) for c in report.per_coverage] == [
+            tuple(map(type, c)) for c in checks
+        ]
+        json.dumps([c._asdict() for c in report.per_coverage])
 
     def test_window_size_validation(self, small_model):
         with pytest.raises(ValueError, match="k >= 2"):
@@ -294,6 +357,24 @@ class TestModelSerialization:
     def test_m_below_two_rejected(self, small_model, tmp_path, m):
         path = self._tampered(small_model, tmp_path, lambda p: p.update(m=m))
         with pytest.raises(ModelFormatError, match="m must be >= 2"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "message,edit",
+        [
+            ("m must be a JSON integer", lambda p: p.update(m=500.9)),
+            ("m must be a JSON integer", lambda p: p.update(m=5000.0)),
+            ("m must be a JSON integer", lambda p: p.update(m="5000")),
+            ("c_target_count must be", lambda p: p.update(c_target_count=10.7)),
+            ("iterations must be", lambda p: p["pairs"][0].update(iterations=3.9)),
+            ("unsupported format_version", lambda p: p.update(format_version=True)),
+        ],
+        ids=["m-fraction", "m-float", "m-string", "c_target_count", "iterations", "bool-version"],
+    )
+    def test_non_integer_count_rejected(self, small_model, tmp_path, message, edit):
+        # a truncating int() would load 500.9 as 500 and true as format_version 1
+        path = self._tampered(small_model, tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_malformed_json_rejected(self, tmp_path):

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -45,3 +47,20 @@ def test_numpy_is_the_only_runtime_dependency():
     assert "covshift" in out and "numpy" in out
     allowed = sys.stdlib_module_names | {"numpy", "covshift"}
     assert [m for m in out if m not in allowed] == []
+
+
+def test_every_exported_name_resolves():
+    # guards against a stale __all__ entry after a name is deleted
+    submodules = [
+        importlib.import_module(f"covshift.{info.name}")
+        for info in pkgutil.iter_modules(covshift.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    assert len(submodules) >= 8
+    unresolved = [
+        f"{module.__name__}.{name}"
+        for module in [covshift, *submodules]
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert unresolved == []
