@@ -1,9 +1,17 @@
 """Comparison detectors behind one window-level interface.
 
-All of them are lazy: every detection consumes the full retained
-reference sample (the seeded MMD subsample cap is the one documented
-exception, mirroring kernel-size limits). This is exactly the property
-the complexity benchmark measures against.
+detect_ks, detect_single_instance and detect_mmd are the one-shot
+two-sample tests the source paper compares against: every detection
+consumes the full retained reference sample (the seeded MMD subsample
+cap is the one documented exception, mirroring kernel-size limits).
+This is exactly the property the complexity benchmark (covshift bench)
+measures against.
+
+detect_ks_sorted is the fitted form of detect_ks: the eval adaptors
+(covshift.eval.KsMethod, SingleInstanceMethod) do their reference-only
+work once when built (sort_columns; stats.welch_moments) and then cost
+O(k log m) and O(k) per window, with bit-identical p-values. MMD has no
+reference-only work: its subsample is drawn from each window's seed.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 from .scores import ConfidenceFunction, ScoreSample, read_csv_matrix, validate_softmax_rows
 from .stats import (
     TestResult,
+    ks_against_sorted,
     ks_two_sample,
     permutation_test_mmd,
     substream,
@@ -28,7 +37,9 @@ __all__ = [
     "SingleInstanceEstimator",
     "MMD_REF_CAP_DEFAULT",
     "load_vectors",
+    "sort_columns",
     "detect_ks",
+    "detect_ks_sorted",
     "detect_mmd",
     "detect_single_instance",
 ]
@@ -52,6 +63,17 @@ class SingleInstanceEstimator(enum.Enum):
         if self is SingleInstanceEstimator.SR:
             return ConfidenceFunction.SOFTMAX_RESPONSE.value
         return ConfidenceFunction.ONE_MINUS_ENTROPY.value
+
+    def check_kappa(self, kappa_name: str) -> None:
+        """Reject scores whose kappa label names another confidence function.
+
+        raw_passthrough scores are accepted as caller-asserted.
+        """
+        if kappa_name != ConfidenceFunction.RAW_PASSTHROUGH.value and kappa_name != self.kappa_name:
+            raise ValueError(
+                f"estimator mismatch: scores carry kappa {kappa_name!r} but "
+                f"estimator {self.value!r} expects {self.kappa_name!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,13 +131,39 @@ def detect_ks(ref: VectorSample, window: VectorSample, alpha: float) -> TestResu
     i.e. when the aggregate p-value min(1, d * min_p) is below alpha.
     """
     _check_dims(ref, window)
-    d = ref.dim
-    statistics = np.empty(d)
-    p_values = np.empty(d)
-    for j in range(d):
-        result = ks_two_sample(ref.vectors[:, j], window.vectors[:, j])
-        statistics[j] = result.statistic
-        p_values[j] = result.p_value
+    return _bonferroni(
+        [ks_two_sample(ref.vectors[:, j], window.vectors[:, j]) for j in range(ref.dim)], alpha
+    )
+
+
+def sort_columns(ref: VectorSample) -> np.ndarray:
+    """The reference's columns as one C-contiguous (d, m) array, each row ascending.
+
+    np.sort of the transposed view would keep its column-major layout, so
+    every row would be strided; one C-ordered copy sorted in place is the
+    only full-size array made.
+    """
+    columns = np.array(ref.vectors.T, order="C")
+    columns.sort(axis=1)
+    return columns
+
+
+def detect_ks_sorted(columns: np.ndarray, window: VectorSample, alpha: float) -> TestResult:
+    """detect_ks against the reference columns from sort_columns(ref), bit for bit."""
+    if columns.shape[0] != window.dim:
+        raise ValueError(
+            f"dimension mismatch: reference d={columns.shape[0]}, window d={window.dim}"
+        )
+    return _bonferroni(
+        [ks_against_sorted(column, window.vectors[:, j]) for j, column in enumerate(columns)],
+        alpha,
+    )
+
+
+def _bonferroni(results: list[TestResult], alpha: float) -> TestResult:
+    d = len(results)
+    statistics = np.array([r.statistic for r in results])
+    p_values = np.array([r.p_value for r in results])
     argmin_dim = int(np.argmin(p_values))
     min_p = float(p_values[argmin_dim])
     aggregate_p = min(1.0, d * min_p)
@@ -180,12 +228,7 @@ def detect_single_instance(
             f"estimator mismatch: reference kappa {ref_scores.kappa_name!r} vs "
             f"window kappa {window_scores.kappa_name!r}"
         )
-    kappa = ref_scores.kappa_name
-    if kappa != ConfidenceFunction.RAW_PASSTHROUGH.value and kappa != estimator.kappa_name:
-        raise ValueError(
-            f"estimator mismatch: scores carry kappa {kappa!r} but "
-            f"estimator {estimator.value!r} expects {estimator.kappa_name!r}"
-        )
+    estimator.check_kappa(ref_scores.kappa_name)
     inner = t_test_two_sample_welch(ref_scores.scores, window_scores.scores)
     detail = dict(inner.detail)
     detail.update({"estimator": estimator.value, "reject": inner.p_value < alpha, "alpha": alpha})

@@ -91,6 +91,28 @@ def kappa_of_rows(rows: np.ndarray, cf: ConfidenceFunction) -> np.ndarray:
     raise ValueError(f"confidence function {cf.value} does not apply to softmax rows")
 
 
+_CHUNK_CHARS = 1 << 20
+
+
+def _count_lines(fh) -> int:
+    # Lines of the text as split on "\n", less one trailing empty line:
+    # the rows a single trailing newline leaves. Counted in chunks of the
+    # newline-translated text, so no copy of the whole file is held.
+    count, last = 0, "\n"
+    while chunk := fh.read(_CHUNK_CHARS):
+        count += chunk.count("\n")
+        last = chunk[-1]
+    return count if last == "\n" else count + 1
+
+
+def _data_lines(fh, first_line: int) -> list[str]:
+    fh.seek(0)
+    lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines[first_line - 1:]
+
+
 def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     """Parse a comma-separated numeric file into an (n, d) matrix.
 
@@ -99,31 +121,39 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     first data row so callers can report errors against original line
     numbers. Rows must all have the same width; a single trailing newline
     is tolerated. Cells take Python's float() syntax without digit-group
-    underscores or non-ASCII digits, since np.loadtxt parses them.
+    underscores or non-ASCII digits, since np.loadtxt parses them. The
+    file is parsed from the open handle, so memory beyond the matrix stays
+    bounded; its text is read into lines only to name a faulty row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file")
-    first_line = 1
-    if header:
-        lines = lines[1:]
-        first_line = 2
-        if not lines:
-            raise ValueError(f"{path}: line 2: no data rows")
-    try:
-        with warnings.catch_warnings():
-            # An input of blank lines only warns "no data"; the row count
-            # check below reports it instead.
-            warnings.simplefilter("ignore", UserWarning)
-            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        _raise_first_bad_row(path, lines, first_line, exc)
-    # loadtxt skips blank lines, so a short matrix means the file has one.
-    if matrix.shape[0] != len(lines):
-        _raise_first_bad_row(path, lines, first_line, None)
+        n_lines = _count_lines(fh)
+        if n_lines == 0:
+            raise ValueError(f"{path}: line 1: empty file")
+        first_line = 1
+        if header:
+            n_lines -= 1
+            first_line = 2
+            if n_lines == 0:
+                raise ValueError(f"{path}: line 2: no data rows")
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # An input of blank lines only warns "no data"; the row count
+                # check below reports it instead.
+                warnings.simplefilter("ignore", UserWarning)
+                matrix = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    comments=None,
+                    ndmin=2,
+                    dtype=np.float64,
+                    skiprows=first_line - 1,
+                )
+        except ValueError as exc:
+            _raise_first_bad_row(path, _data_lines(fh, first_line), first_line, exc)
+        # loadtxt skips blank lines, so a short matrix means the file has one.
+        if matrix.shape[0] != n_lines:
+            _raise_first_bad_row(path, _data_lines(fh, first_line), first_line, None)
     bad = ~np.isfinite(matrix)
     if bad.any():
         lineno = first_line + int(np.argwhere(bad)[0][0])

@@ -2,7 +2,9 @@
 
 Special functions (regularized incomplete beta, Student-t CDF), the
 two-sample KS test, unbiased squared MMD with a permutation test, the
-Welch two-sample t-test, and seeded reproducible randomness.
+Welch two-sample t-test, and seeded reproducible randomness. The KS and
+Welch tests also take a reference prepared once (sorted; its moments),
+for callers that test many windows against one reference.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,9 +27,13 @@ __all__ = [
     "incomplete_beta",
     "student_t_cdf",
     "ks_two_sample",
+    "ks_against_sorted",
     "mmd2_unbiased",
     "median_heuristic_bandwidth",
     "permutation_test_mmd",
+    "WelchMoments",
+    "welch_moments",
+    "t_test_welch_against",
     "t_test_two_sample_welch",
 ]
 
@@ -231,13 +237,24 @@ def _ks_p_value(z: float, n_effective: float) -> float:
     return 1.0
 
 
+def _ks_result(z: float, n_a: int, n_b: int) -> TestResult:
+    n_effective = n_a * n_b / (n_a + n_b)
+    return TestResult(
+        statistic=z,
+        p_value=_ks_p_value(z, n_effective),
+        method="ks_two_sample",
+        detail={"n_a": n_a, "n_b": n_b},
+    )
+
+
 def ks_two_sample(a, b) -> TestResult:
     """Two-sample Kolmogorov-Smirnov test.
 
     The statistic is the exact supremum of the empirical-CDF difference
     (ties handled by evaluating right-continuous ECDFs at every pooled
     sample point); the p-value uses the asymptotic Kolmogorov distribution
-    at effective size |a||b|/(|a|+|b|).
+    at effective size |a||b|/(|a|+|b|). Both samples are sorted on every
+    call, the one-shot cost of the two-sample baseline.
     """
     xs = np.sort(np.asarray(a, dtype=np.float64))
     ys = np.sort(np.asarray(b, dtype=np.float64))
@@ -247,14 +264,29 @@ def ks_two_sample(a, b) -> TestResult:
     cdf_a = np.searchsorted(xs, pooled, side="right") / xs.size
     cdf_b = np.searchsorted(ys, pooled, side="right") / ys.size
     z = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_effective = xs.size * ys.size / (xs.size + ys.size)
-    p = _ks_p_value(z, n_effective)
-    return TestResult(
-        statistic=z,
-        p_value=p,
-        method="ks_two_sample",
-        detail={"n_a": int(xs.size), "n_b": int(ys.size)},
-    )
+    return _ks_result(z, int(xs.size), int(ys.size))
+
+
+def ks_against_sorted(sorted_a: np.ndarray, b) -> TestResult:
+    """ks_two_sample(a, b) for a reference a already sorted ascending.
+
+    Costs O(|b| log |a|). Between consecutive window points the window's
+    ECDF is constant and the reference's rises, so the supremum over the
+    pooled points is reached at a window point (right-continuous counts)
+    or at the last reference point below one (left counts of both
+    samples). Every candidate is the same |i/|a| - j/|b|| expression that
+    ks_two_sample evaluates at some pooled point, so the statistic and
+    p-value are bit-identical to it.
+    """
+    ys = np.sort(np.asarray(b, dtype=np.float64))
+    if sorted_a.size == 0 or ys.size == 0:
+        raise ValueError("ks_against_sorted requires two nonempty samples")
+    z = 0.0
+    for side in ("right", "left"):
+        cdf_a = np.searchsorted(sorted_a, ys, side=side) / sorted_a.size
+        cdf_b = np.searchsorted(ys, ys, side=side) / ys.size
+        z = max(z, float(np.max(np.abs(cdf_a - cdf_b))))
+    return _ks_result(z, int(sorted_a.size), int(ys.size))
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +454,47 @@ def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> Test
 # t-tests
 # ---------------------------------------------------------------------------
 
-def t_test_two_sample_welch(a, b) -> TestResult:
+class WelchMoments(NamedTuple):
+    """Mean, unbiased variance and size of one Welch t-test sample."""
+
+    mean: float
+    var: float
+    n: int
+
+
+def welch_moments(a) -> WelchMoments:
+    """The reference side of t_test_two_sample_welch, computed once."""
+    xs = np.asarray(a, dtype=np.float64)
+    if xs.size < 2:
+        raise ValueError("t_test_two_sample_welch requires n >= 2 per sample")
+    return WelchMoments(float(xs.mean()), float(xs.var(ddof=1)), int(xs.size))
+
+
+def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
     """Two-sided Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
 
-    Both samples having zero variance is degenerate: equal means give
-    p = 1 (no separation), different means give p = 0 (complete
+    ref holds the first sample's moments (welch_moments), b is the second
+    sample. Both samples having zero variance is degenerate: equal means
+    give p = 1 (no separation), different means give p = 0 (complete
     separation).
     """
-    xs = np.asarray(a, dtype=np.float64)
-    ys = np.asarray(b, dtype=np.float64)
-    if xs.size < 2 or ys.size < 2:
-        raise ValueError("t_test_two_sample_welch requires n >= 2 per sample")
-    mean_x, mean_y = float(xs.mean()), float(ys.mean())
-    var_x = float(xs.var(ddof=1))
-    var_y = float(ys.var(ddof=1))
-    se_x = var_x / xs.size
-    se_y = var_y / ys.size
+    y = welch_moments(b)
+    se_x = ref.var / ref.n
+    se_y = y.var / y.n
     if se_x + se_y == 0.0:
-        if mean_x == mean_y:
+        if ref.mean == y.mean:
             return TestResult(0.0, 1.0, "t_test_two_sample_welch", {"degenerate": True})
-        stat = math.copysign(math.inf, mean_x - mean_y)
+        stat = math.copysign(math.inf, ref.mean - y.mean)
         return TestResult(stat, 0.0, "t_test_two_sample_welch", {"degenerate": True})
-    t = (mean_x - mean_y) / math.sqrt(se_x + se_y)
+    t = (ref.mean - y.mean) / math.sqrt(se_x + se_y)
     df = (se_x + se_y) ** 2 / (
-        se_x**2 / (xs.size - 1) + se_y**2 / (ys.size - 1)
+        se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1)
     )
     p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
     p = min(1.0, max(0.0, p))
     return TestResult(t, p, "t_test_two_sample_welch", {"df": df})
+
+
+def t_test_two_sample_welch(a, b) -> TestResult:
+    """Welch two-sample t-test of a against b, both samples read in full (t_test_welch_against)."""
+    return t_test_welch_against(welch_moments(a), b)

@@ -5,15 +5,16 @@ than the library: direct log-space summation on a fixed grid for the
 bound solver, a plain double loop for MMD, one kernel re-indexing per
 permutation for the MMD permutation test (sharing only the seeded
 substreams), one pass per coverage pair for the detector's violation
-terms, and hand ECDF enumeration for KS. They must stay
-independent of the implementations they check.
+terms, hand ECDF enumeration for KS, and the Welch t-test computed from
+both raw samples in one function (sharing only the t CDF). They must
+stay independent of the implementations they check.
 """
 
 import math
 
 import numpy as np
 
-from covshift.stats import substream
+from covshift.stats import student_t_cdf, substream
 
 GRID_STEP = 1e-6
 _COARSE = 1000  # coarse stride in grid units
@@ -146,3 +147,25 @@ def violation_means_loop(model, window):
             terms[j] = pair.b_star - selected
         checks.append((pair.c_target, pair.b_star, c_hat, violated))
     return terms.mean(axis=0), tuple(checks)
+
+
+def welch_from_samples(a, b):
+    """Two-sided Welch t-test (t, p) with both samples' moments computed here.
+
+    The expressions, in this order, that the fitted reference-moment path
+    must reproduce bit for bit; a degenerate pair (both variances zero)
+    gives t = 0, p = 1 for equal means and t = +-inf, p = 0 otherwise.
+    """
+    xs = np.asarray(a, dtype=np.float64)
+    ys = np.asarray(b, dtype=np.float64)
+    mean_x, mean_y = float(xs.mean()), float(ys.mean())
+    se_x = float(xs.var(ddof=1)) / xs.size
+    se_y = float(ys.var(ddof=1)) / ys.size
+    if se_x + se_y == 0.0:
+        if mean_x == mean_y:
+            return 0.0, 1.0
+        return math.copysign(math.inf, mean_x - mean_y), 0.0
+    t = (mean_x - mean_y) / math.sqrt(se_x + se_y)
+    df = (se_x + se_y) ** 2 / (se_x**2 / (xs.size - 1) + se_y**2 / (ys.size - 1))
+    p = min(1.0, max(0.0, 2.0 * (1.0 - student_t_cdf(abs(t), df))))
+    return t, p

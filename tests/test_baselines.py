@@ -6,9 +6,11 @@ from covshift.baselines import (
     VectorKind,
     VectorSample,
     detect_ks,
+    detect_ks_sorted,
     detect_mmd,
     detect_single_instance,
     load_vectors,
+    sort_columns,
 )
 from covshift.scores import ScoreSample, validate_softmax_rows
 from covshift.stats import ks_two_sample, substream
@@ -51,6 +53,22 @@ class TestLoadVectors:
         path.write_text("0.9,0.2\n")
         with pytest.raises(ValueError, match="line 1"):
             load_vectors(str(path), VectorKind.SOFTMAX)
+
+    def test_rows_across_read_chunks(self, tmp_path):
+        # More text than one counting chunk, with CRLF line ends: the rows
+        # and the line number of a blank row must not depend on where a
+        # chunk ends.
+        rows = substream(32, 0).random((60_000, 2))
+        lines = [",".join(repr(v) for v in row) for row in rows.tolist()]
+        path = tmp_path / "big.csv"
+        path.write_bytes(("h0,h1\r\n" + "\r\n".join(lines) + "\r\n").encode())
+        assert path.stat().st_size > 2 * (1 << 20)
+        v = load_vectors(str(path), VectorKind.EMBEDDING, header=True)
+        assert np.array_equal(v.vectors, rows)
+        lines[50_000] = ""
+        path.write_bytes(("h0,h1\r\n" + "\r\n".join(lines) + "\r\n").encode())
+        with pytest.raises(ValueError, match="line 50002: empty row"):
+            load_vectors(str(path), VectorKind.EMBEDDING, header=True)
 
     def test_softmax_validated_once_naming_file_and_line(self, tmp_path, monkeypatch):
         calls = []
@@ -130,6 +148,43 @@ class TestDetectKs:
                 VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING),
                 VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING),
                 alpha=0.05,
+            )
+
+
+class TestDetectKsSorted:
+    def test_matches_one_shot_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for i in range(60):
+            d = 1 + i % 3
+            m, k = int(rng.integers(2, 400)), int(rng.integers(2, 201))
+            if i % 2:
+                ref = rng.integers(0, 6, (m, d)).astype(float)
+                win = ref[rng.integers(0, m, k)]
+                win[: k // 3] = rng.integers(0, 7, (k // 3, d))
+            else:
+                ref = rng.standard_normal((m, d))
+                win = rng.standard_normal((k, d)) + rng.uniform(-0.5, 0.5)
+            ref_sample = VectorSample(ref, VectorKind.EMBEDDING)
+            window = VectorSample(win, VectorKind.EMBEDDING)
+            fitted = detect_ks_sorted(sort_columns(ref_sample), window, alpha=0.05)
+            direct = detect_ks(ref_sample, window, alpha=0.05)
+            assert (fitted.statistic, fitted.p_value) == (direct.statistic, direct.p_value)
+            assert dict(fitted.detail) == dict(direct.detail)
+
+    def test_sort_columns_layout_leaves_reference_alone(self):
+        rows = substream(31, 0).standard_normal((50, 3))
+        ref = VectorSample(rows, VectorKind.EMBEDDING)
+        before = ref.vectors.copy()
+        columns = sort_columns(ref)
+        assert columns.shape == (3, 50) and columns.flags["C_CONTIGUOUS"]
+        assert np.array_equal(columns, np.sort(rows.T, axis=1))
+        assert np.array_equal(ref.vectors, before)
+
+    def test_dimension_mismatch(self):
+        ref = VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING)
+        with pytest.raises(ValueError, match="dimension"):
+            detect_ks_sorted(
+                sort_columns(ref), VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING), 0.05
             )
 
 

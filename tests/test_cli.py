@@ -209,6 +209,29 @@ class TestBench:
             assert float(fit_s) >= 0.0
             assert float(detect_s) > 0.0
 
+    def test_baselines_timed_one_shot(self, tmp_path, monkeypatch):
+        import covshift.eval as eval_mod
+
+        calls = {"detect_ks": 0, "detect_single_instance": 0}
+
+        def counting(name):
+            original = getattr(eval_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(eval_mod, name, counting(name))
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--sizes", "200", "--methods", "ks,single-sr", "--seed", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        # One warm-up and five timed windows per method, each on the raw reference.
+        assert calls == {"detect_ks": 6, "detect_single_instance": 6}
+
     def test_unknown_method_rejected_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         rc = main(["bench", "--sizes", "1000", "--methods", "ours,bogus", "--out", str(out)])

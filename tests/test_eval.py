@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from covshift.baselines import SingleInstanceEstimator, VectorKind
+from covshift.baselines import (
+    SingleInstanceEstimator,
+    VectorKind,
+    VectorSample,
+    detect_ks,
+    detect_single_instance,
+)
 from covshift.eval import (
+    METHODS,
     BetaDist,
     CSV_HEADER,
     DirichletDist,
     GaussianDist,
+    KsMethod,
     LabeledPValues,
+    MethodSettings,
     MixtureDist,
+    MmdMethod,
     SingleInstanceMethod,
     TrialPlan,
     UniformDist,
@@ -247,3 +257,61 @@ class TestRunTrials:
         plan = TrialPlan(window_sizes=(50,), n_trials=2, seed=1)
         with pytest.raises(ValueError, match="max window size"):
             run_trials(small, small, self.make_method(), plan)
+
+
+class TestFittedAdaptors:
+    def test_ks_method_matches_detect_ks(self):
+        rng = np.random.default_rng(80)
+        for d in (1, 2, 3):
+            ref = VectorSample(rng.integers(0, 8, (500, d)).astype(float), VectorKind.EMBEDDING)
+            method = KsMethod(ref)
+            for k in (2, 10, 57, 200):
+                window = ref.vectors[rng.integers(0, 500, k)] + rng.integers(0, 2, (k, d))
+                expected = detect_ks(ref, VectorSample(window, VectorKind.EMBEDDING), 0.05).p_value
+                assert method.p_value(window, seed=0) == expected
+
+    def test_ks_build_leaves_shared_reference_alone(self):
+        ref = gen_vectors(DirichletDist((2.0, 1.0, 1.0)), 300, seed=81)
+        before = ref.vectors.copy()
+        window = gen_vectors(DirichletDist((1.0, 1.0, 1.0)), 20, seed=82).vectors
+        mmd_before = MmdMethod(ref).p_value(window, seed=5)
+        KsMethod(ref)
+        assert np.array_equal(ref.vectors, before)
+        assert MmdMethod(ref).p_value(window, seed=5) == mmd_before
+
+    def test_single_instance_method_matches_detect_single_instance(self):
+        rng = np.random.default_rng(83)
+        refs = [rng.standard_normal(400), np.full(30, 0.4), rng.integers(0, 3, 50).astype(float)]
+        windows = [rng.standard_normal(10) + 0.2, np.full(5, 0.4), np.full(5, 0.5),
+                   rng.integers(0, 3, 100).astype(float)]
+        for values in refs:
+            ref = ScoreSample(values, kappa_name="softmax_response")
+            method = SingleInstanceMethod(ref, SingleInstanceEstimator.SR)
+            for window in windows:
+                sample = ScoreSample(window, kappa_name="softmax_response")
+                expected = detect_single_instance(ref, sample, 0.05, SingleInstanceEstimator.SR)
+                assert method.p_value(window, seed=0) == expected.p_value
+
+    def test_single_instance_label_mismatch_rejected_when_built(self):
+        sr = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
+        ent = ScoreSample([0.1, 0.2], kappa_name="one_minus_entropy")
+        with pytest.raises(ValueError, match="estimator mismatch"):
+            SingleInstanceMethod(sr, SingleInstanceEstimator.ENTROPY)
+        with pytest.raises(ValueError, match="estimator mismatch"):
+            SingleInstanceMethod(ent, SingleInstanceEstimator.SR)
+        SingleInstanceMethod(ScoreSample([0.1, 0.2]), SingleInstanceEstimator.ENTROPY)
+
+    def test_one_shot_matches_fitted_adaptor(self):
+        settings = MethodSettings()
+        scores = gen_scores(BetaDist(5, 1), 400, seed=84)
+        vectors = gen_vectors(DirichletDist((3.0, 1.0, 1.0)), 400, seed=85)
+        windows = {"score": gen_scores(BetaDist(2, 2), 20, seed=86).scores,
+                   "vector": gen_vectors(DirichletDist((1.0, 1.0, 1.0)), 20, seed=87).vectors}
+        for name, spec in METHODS.items():
+            if spec.one_shot is None:
+                continue
+            ref = scores if spec.input_kind == "score" else vectors
+            window = windows[spec.input_kind]
+            fitted = spec.build(ref, settings).p_value(window, 3)
+            assert spec.one_shot(ref, window, settings, 3) == fitted, name
+        assert {n for n, spec in METHODS.items() if spec.one_shot is None} == {"ours", "mmd"}

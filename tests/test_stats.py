@@ -8,6 +8,7 @@ from covshift.stats import (
 )
 from covshift.stats import (
     incomplete_beta,
+    ks_against_sorted,
     ks_two_sample,
     make_rng,
     median_heuristic_bandwidth,
@@ -16,8 +17,15 @@ from covshift.stats import (
     student_t_cdf,
     substream,
     t_test_two_sample_welch,
+    t_test_welch_against,
+    welch_moments,
 )
-from oracles import ks_statistic_enumerated, mmd2_double_loop, mmd_permutation_loop
+from oracles import (
+    ks_statistic_enumerated,
+    mmd2_double_loop,
+    mmd_permutation_loop,
+    welch_from_samples,
+)
 
 
 class TestSpecialFunctions:
@@ -116,6 +124,51 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+
+def tied_ks_cases(rng, n_cases):
+    """(reference, window) pairs with heavy ties, repeated reference values and k in [2, 200]."""
+    for i in range(n_cases):
+        m = int(rng.integers(2, 300))
+        k = int(rng.integers(2, 201))
+        style = i % 4
+        if style == 0:
+            a, b = rng.integers(0, 4, m), rng.integers(0, 5, k)
+        elif style == 1:
+            a = rng.integers(0, 30, m).astype(float)
+            b = a[rng.integers(0, m, k)]
+        elif style == 2:
+            a = np.round(rng.standard_normal(m), 1)
+            b = np.concatenate([a[rng.integers(0, m, k // 2)], np.round(rng.standard_normal(k - k // 2), 1)])
+        else:
+            a, b = rng.standard_normal(m), rng.standard_normal(k) + rng.uniform(-1, 1)
+        yield np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+
+
+class TestKsAgainstSorted:
+    def test_bit_identical_to_pooled_test_and_oracle(self):
+        rng = np.random.default_rng(5)
+        for a, b in tied_ks_cases(rng, 80):
+            fitted = ks_against_sorted(np.sort(a), b)
+            pooled = ks_two_sample(a, b)
+            assert fitted.statistic == pooled.statistic
+            assert fitted.p_value == pooled.p_value
+            assert dict(fitted.detail) == dict(pooled.detail)
+            assert fitted.statistic == ks_statistic_enumerated(a.tolist(), b.tolist())
+
+    def test_supremum_just_below_a_window_point(self):
+        # The largest gap sits at reference points below the window, where
+        # only the left counts of the window's first point see it.
+        r = ks_against_sorted(np.array([0.0, 1.0, 2.0, 3.0]), [5.0, 6.0])
+        assert r.statistic == 1.0
+        r = ks_against_sorted(np.array([1.0, 1.0, 2.0, 9.0]), [2.0, 3.0, 4.0])
+        assert r.statistic == ks_statistic_enumerated([1.0, 1.0, 2.0, 9.0], [2.0, 3.0, 4.0])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            ks_against_sorted(np.array([]), [1.0])
+        with pytest.raises(ValueError):
+            ks_against_sorted(np.array([1.0]), [])
 
 
 class TestMmd:
@@ -302,6 +355,34 @@ class TestTTests:
     def test_welch_undersized(self):
         with pytest.raises(ValueError):
             t_test_two_sample_welch([1.0], [1.0, 2.0])
+
+    def test_welch_against_moments_bit_identical(self):
+        rng = np.random.default_rng(6)
+        cases = [
+            (np.full(50, 0.3), rng.random(10)),  # zero-variance reference
+            (np.full(8, 2.0), np.full(3, 2.0)),  # both constant, equal: p = 1
+            (np.full(8, 2.0), np.full(3, 1.0)),  # both constant, different: p = 0
+            (rng.random(8), np.full(4, 0.5)),  # zero-variance window
+        ]
+        cases += [(rng.standard_normal(int(rng.integers(2, 500))),
+                   rng.standard_normal(int(rng.integers(2, 200))) + rng.uniform(-1, 1))
+                  for _ in range(40)]
+        for a, b in cases:
+            moments = welch_moments(a)
+            assert moments == (float(a.mean()), float(a.var(ddof=1)), a.size)
+            fitted = t_test_welch_against(moments, b)
+            direct = t_test_two_sample_welch(a, b)
+            assert (fitted.statistic, fitted.p_value) == welch_from_samples(a, b)
+            assert (direct.statistic, direct.p_value) == welch_from_samples(a, b)
+            assert dict(fitted.detail) == dict(direct.detail)
+        assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 2.0)).p_value == 1.0
+        assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 1.0)).p_value == 0.0
+
+    def test_welch_moments_undersized(self):
+        with pytest.raises(ValueError):
+            welch_moments([1.0])
+        with pytest.raises(ValueError):
+            t_test_welch_against(welch_moments([1.0, 2.0]), [3.0])
 
 
 class TestRng:
