@@ -45,7 +45,6 @@ from .stats import (
     ks_two_sample,
     make_rng,
     median_heuristic_bandwidth,
-    mmd2_unbiased,
     permutation_test_mmd,
     student_t_cdf,
     substream,
@@ -88,7 +87,6 @@ __all__ = [
     "load_vectors",
     "make_rng",
     "median_heuristic_bandwidth",
-    "mmd2_unbiased",
     "permutation_test_mmd",
     "run_sgc",
     "run_trials",

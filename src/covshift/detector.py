@@ -258,6 +258,19 @@ def _json_int(value: object, name: str) -> int:
     return value
 
 
+def _json_number(value: object, name: str) -> float:
+    # float() would also take the string "0.5" and true; a real must be a number literal.
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_pairs(value: object) -> list:
+    if not isinstance(value, list) or not all(isinstance(p, dict) for p in value):
+        raise TypeError("pairs must be a JSON list of objects")
+    return value
+
+
 def load_model(path: str) -> DetectorModel:
     """Load a model file, checking format version and invariants."""
     try:
@@ -275,19 +288,24 @@ def load_model(path: str) -> DetectorModel:
     try:
         pairs = tuple(
             CoverageBound(
-                c_target=float(p["c_target"]),
-                b_star=float(p["b_star"]),
-                theta=float(p["theta"]),
+                c_target=_json_number(p["c_target"], "c_target"),
+                b_star=_json_number(p["b_star"], "b_star"),
+                theta=_json_number(p["theta"], "theta"),
                 iterations=_json_int(p["iterations"], "iterations"),
-                empirical_coverage_at_fit=float(p["empirical_coverage_at_fit"]),
+                empirical_coverage_at_fit=_json_number(
+                    p["empirical_coverage_at_fit"], "empirical_coverage_at_fit"
+                ),
             )
-            for p in payload["pairs"]
+            for p in _json_pairs(payload["pairs"])
         )
+        kappa_name = payload["kappa_name"]
+        if type(kappa_name) is not str:
+            raise TypeError(f"kappa_name must be a JSON string, got {kappa_name!r}")
         model = DetectorModel(
             pairs=pairs,
-            delta=float(payload["delta"]),
+            delta=_json_number(payload["delta"], "delta"),
             c_target_count=_json_int(payload["c_target_count"], "c_target_count"),
-            kappa_name=str(payload["kappa_name"]),
+            kappa_name=kappa_name,
             m=_json_int(payload["m"], "m"),
             format_version=version,
         )

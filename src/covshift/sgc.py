@@ -54,6 +54,10 @@ class CoverageBound:
     def __post_init__(self) -> None:
         if not 0.0 <= self.b_star <= 1.0:
             raise ValueError(f"b_star {self.b_star} outside [0, 1]")
+        if not 0.0 <= self.empirical_coverage_at_fit <= 1.0:
+            raise ValueError(
+                f"empirical_coverage_at_fit {self.empirical_coverage_at_fit} outside [0, 1]"
+            )
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         if self.iterations < 1:

@@ -1,7 +1,7 @@
 """Shared statistical kernel.
 
 Special functions (regularized incomplete beta, Student-t CDF), the
-two-sample KS test, unbiased squared MMD with a permutation test, the
+two-sample KS test, the permutation test of the unbiased squared MMD, the
 Welch two-sample t-test, and seeded reproducible randomness. The KS and
 Welch tests also take a reference prepared once (sorted; its moments),
 for callers that test many windows against one reference.
@@ -28,7 +28,6 @@ __all__ = [
     "student_t_cdf",
     "ks_two_sample",
     "ks_against_sorted",
-    "mmd2_unbiased",
     "median_heuristic_bandwidth",
     "permutation_test_mmd",
     "WelchMoments",
@@ -320,38 +319,15 @@ def _rbf_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def _rbf_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
-    return _rbf_in_place(_sq_distances(x, y), bandwidth)
+def median_heuristic_bandwidth(sq: np.ndarray) -> float:
+    """RBF bandwidth sigma with 2*sigma^2 = median pairwise distance.
 
-
-def mmd2_unbiased(x, y, bandwidth: float) -> float:
-    """Unbiased squared MMD estimator under an RBF kernel.
-
-    (1/(m(m-1))) sum_{i!=j} K(x_i,x_j) + (1/(n(n-1))) sum_{i!=j} K(y_i,y_j)
-    - (2/(mn)) sum_{i,j} K(x_i,y_j)
+    sq is the n x n matrix of squared Euclidean distances between the
+    rows of the pooled sample. The median is taken over plain Euclidean
+    distances of all unordered pairs (self-pairs excluded). A zero median
+    falls back to the smallest positive distance; all-identical points
+    are an error.
     """
-    xm = _as_matrix(x, "x")
-    ym = _as_matrix(y, "y")
-    if xm.shape[0] < 2 or ym.shape[0] < 2:
-        raise ValueError("mmd2_unbiased requires at least 2 points per sample")
-    if xm.shape[1] != ym.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: x has d={xm.shape[1]}, y has d={ym.shape[1]}"
-        )
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    m, n = xm.shape[0], ym.shape[0]
-    k_xx = _rbf_kernel(xm, xm, bandwidth)
-    k_yy = _rbf_kernel(ym, ym, bandwidth)
-    k_xy = _rbf_kernel(xm, ym, bandwidth)
-    term_xx = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
-    term_yy = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
-    term_xy = k_xy.sum() / (m * n)
-    return float(term_xx + term_yy - 2.0 * term_xy)
-
-
-def _median_bandwidth(sq: np.ndarray) -> float:
-    # Median heuristic over the pooled squared-distance matrix sq.
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic requires a pooled sample of size >= 2")
@@ -363,18 +339,6 @@ def _median_bandwidth(sq: np.ndarray) -> float:
             raise ValueError("median heuristic undefined: all points identical")
         med = float(positive.min())
     return math.sqrt(med / 2.0)
-
-
-def median_heuristic_bandwidth(x, y) -> float:
-    """RBF bandwidth sigma with 2*sigma^2 = median pairwise distance.
-
-    The median is taken over plain Euclidean distances of all unordered
-    pairs in the pooled sample (self-pairs excluded). A zero median falls
-    back to the smallest positive distance; all-identical points are an
-    error.
-    """
-    pooled = np.vstack([_as_matrix(x, "x"), _as_matrix(y, "y")])
-    return _median_bandwidth(_sq_distances(pooled, pooled))
 
 
 def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> TestResult:
@@ -408,7 +372,7 @@ def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> Test
     m, n = xm.shape[0], ym.shape[0]
     total = m + n
     sq = _sq_distances(pooled, pooled)
-    bandwidth = _median_bandwidth(sq)
+    bandwidth = median_heuristic_bandwidth(sq)
     kernel = _rbf_in_place(sq, bandwidth)
 
     # Row 0 is the observed smaller group, row i + 1 that of permutation i,

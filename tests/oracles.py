@@ -2,7 +2,8 @@
 
 These deliberately re-derive expected values through different code paths
 than the library: direct log-space summation on a fixed grid for the
-bound solver, a plain double loop for MMD, one kernel re-indexing per
+bound solver, a plain double loop for MMD and one pass over the pooled
+pairs for its median-heuristic bandwidth, one kernel re-indexing per
 permutation for the MMD permutation test (sharing only the seeded
 substreams), one pass per coverage pair for the detector's violation
 terms, hand ECDF enumeration for KS, and the Welch t-test computed from
@@ -11,6 +12,7 @@ stay independent of the implementations they check.
 """
 
 import math
+import statistics
 
 import numpy as np
 
@@ -78,6 +80,28 @@ def mmd2_double_loop(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     yy = sum(k(y[i], y[j]) for i in range(n) for j in range(n) if i != j)
     xy = sum(k(x[i], y[j]) for i in range(m) for j in range(n))
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)
+
+
+def median_bandwidth_loop(x, y) -> float:
+    """Median-heuristic RBF bandwidth, one pooled pair at a time.
+
+    The plain Euclidean distance of each unordered pair of pooled rows,
+    then their median m (the smallest positive distance if m is 0), and
+    sigma = sqrt(m / 2).
+    """
+    pooled = [list(map(float, row)) for row in np.vstack([np.asarray(x), np.asarray(y)])]
+    dists = [
+        math.dist(pooled[i], pooled[j])
+        for i in range(len(pooled))
+        for j in range(i + 1, len(pooled))
+    ]
+    med = statistics.median(dists)
+    if med == 0.0:
+        positive = [d for d in dists if d > 0.0]
+        if not positive:
+            raise ValueError("median heuristic undefined: all points identical")
+        med = min(positive)
+    return math.sqrt(med / 2.0)
 
 
 def ks_statistic_enumerated(a, b) -> float:

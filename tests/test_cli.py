@@ -178,7 +178,7 @@ class TestEval:
                    "--id", str(id_path), "--shifted", str(sh_path),
                    "--window-sizes", "10", "--trials", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
-        assert "raw score file has 2 columns, expected 1" in capsys.readouterr().err
+        assert "line 1: raw score file has 2 columns, expected 1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_undersized_pool_errors(self, tmp_path, train_file, capsys):

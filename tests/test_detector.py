@@ -377,6 +377,50 @@ class TestModelSerialization:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "message,edit",
+        [
+            ("delta must be a JSON number", lambda p: p.update(delta="0.01")),
+            ("b_star must be a JSON number", lambda p: p["pairs"][0].update(b_star=True)),
+            ("theta must be a JSON number", lambda p: p["pairs"][2].update(theta="0.5")),
+            ("c_target must be a JSON number", lambda p: p["pairs"][0].update(c_target=None)),
+            (
+                "empirical_coverage_at_fit must be a JSON number",
+                lambda p: p["pairs"][1].update(empirical_coverage_at_fit=[0.5]),
+            ),
+            ("kappa_name must be a JSON string", lambda p: p.update(kappa_name=None)),
+            ("pairs must be a JSON list of objects", lambda p: p.update(pairs="abc")),
+            ("pairs must be a JSON list of objects", lambda p: p.update(pairs=["abc"])),
+        ],
+        ids=[
+            "delta-string", "b_star-bool", "theta-string", "c_target-null",
+            "coverage-list", "kappa-null", "pairs-string", "pairs-of-strings",
+        ],
+    )
+    def test_wrong_json_type_rejected(self, small_model, tmp_path, message, edit):
+        # float() and str() would load "0.01" as 0.01, true as 1.0 and null as "None"
+        path = self._tampered(small_model, tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_integer_reals_load_as_floats(self, small_model, tmp_path):
+        def integral(p):
+            p["pairs"][0].update(b_star=0)
+            p["pairs"][-1].update(empirical_coverage_at_fit=1)
+
+        model = load_model(self._tampered(small_model, tmp_path, integral))
+        assert type(model.pairs[0].b_star) is float and model.pairs[0].b_star == 0.0
+        assert model.pairs[-1].empirical_coverage_at_fit == 1.0
+
+    @pytest.mark.parametrize("coverage", [7.5, -0.25, float("nan")])
+    def test_coverage_at_fit_outside_unit_interval_rejected(
+        self, small_model, tmp_path, coverage
+    ):
+        edit = lambda p: p["pairs"][4].update(empirical_coverage_at_fit=coverage)
+        path = self._tampered(small_model, tmp_path, edit)
+        with pytest.raises(ModelFormatError, match="empirical_coverage_at_fit"):
+            load_model(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

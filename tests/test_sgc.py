@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from covshift.sgc import SgcConfig, iter_sgc, run_sgc
+from covshift.sgc import CoverageBound, SgcConfig, iter_sgc, run_sgc
 from covshift.stats import substream
+
+
+class TestCoverageBound:
+    @pytest.mark.parametrize("coverage", [7.5, -0.01, 1.0 + 1e-12, float("nan")])
+    def test_coverage_at_fit_outside_unit_interval_rejected(self, coverage):
+        with pytest.raises(ValueError, match="empirical_coverage_at_fit"):
+            CoverageBound(0.5, 0.4, 0.3, 3, coverage)
 
 
 class TestRunSgc:

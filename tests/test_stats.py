@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import covshift.stats as stats_module
 from covshift.stats import (
     TestResult as StatsTestResult,
 )
@@ -12,7 +13,6 @@ from covshift.stats import (
     ks_two_sample,
     make_rng,
     median_heuristic_bandwidth,
-    mmd2_unbiased,
     permutation_test_mmd,
     student_t_cdf,
     substream,
@@ -22,6 +22,7 @@ from covshift.stats import (
 )
 from oracles import (
     ks_statistic_enumerated,
+    median_bandwidth_loop,
     mmd2_double_loop,
     mmd_permutation_loop,
     welch_from_samples,
@@ -171,11 +172,13 @@ class TestKsAgainstSorted:
             ks_against_sorted(np.array([1.0]), [])
 
 
-class TestMmd:
-    def test_identical_point_pairs_cancel(self):
-        x = [[1.0, 2.0], [1.0, 2.0]]
-        assert mmd2_unbiased(x, x, bandwidth=1.0) == pytest.approx(0.0, abs=1e-15)
+def mmd_statistic(x, y) -> tuple[float, float]:
+    """Observed statistic and bandwidth of the library's one MMD estimator."""
+    r = permutation_test_mmd(x, y, n_permutations=1, seed=0)
+    return r.statistic, r.detail["bandwidth"]
 
+
+class TestMmd:
     def test_equal_multisets_closed_form(self):
         # With x = y the all-pairs cross term keeps its diagonal, so the
         # estimator equals 2s/(n^2 (n-1)) - 2/n where s is the
@@ -183,62 +186,68 @@ class TestMmd:
         # value is 1).
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 2))
+        statistic, sigma = mmd_statistic(x, x.copy())
         n = x.shape[0]
         s = 0.0
         for i in range(n):
             for j in range(n):
                 if i != j:
                     d = x[i] - x[j]
-                    s += math.exp(-float(np.dot(d, d)) / (2.0 * 0.7**2))
+                    s += math.exp(-float(np.dot(d, d)) / (2.0 * sigma**2))
         expected = 2.0 * s / (n * n * (n - 1)) - 2.0 / n
-        assert mmd2_unbiased(x, x.copy(), bandwidth=0.7) == pytest.approx(expected, abs=1e-12)
+        assert statistic == pytest.approx(expected, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.standard_normal((int(rng.integers(2, 7)), 3))
             y = rng.standard_normal((int(rng.integers(2, 7)), 3)) + 0.5
-            sigma = float(rng.uniform(0.3, 3.0))
-            assert mmd2_unbiased(x, y, sigma) == pytest.approx(
-                mmd2_double_loop(x, y, sigma), abs=1e-12
-            )
+            statistic, sigma = mmd_statistic(x, y)
+            assert statistic == pytest.approx(mmd2_double_loop(x, y, sigma), abs=1e-12)
 
     def test_swap_symmetry_and_permutation_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((8, 2))
         y = rng.standard_normal((5, 2)) + 1.0
-        v = mmd2_unbiased(x, y, 1.3)
-        assert mmd2_unbiased(y, x, 1.3) == pytest.approx(v, abs=1e-15)
+        v, _ = mmd_statistic(x, y)
+        assert mmd_statistic(y, x)[0] == pytest.approx(v, abs=1e-15)
         perm = rng.permutation(8)
-        assert mmd2_unbiased(x[perm], y, 1.3) == pytest.approx(v, abs=1e-12)
+        assert mmd_statistic(x[perm], y)[0] == pytest.approx(v, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            mmd2_unbiased(np.zeros((3, 2)), np.zeros((3, 3)), 1.0)
+            mmd_statistic(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_undersized(self):
         with pytest.raises(ValueError):
-            mmd2_unbiased(np.zeros((1, 2)), np.zeros((3, 2)), 1.0)
+            mmd_statistic(np.zeros((1, 2)), np.zeros((3, 2)))
+
+
+def pooled_sq(x, y) -> np.ndarray:
+    """Squared Euclidean distances between every pair of pooled rows."""
+    pooled = np.vstack([np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)])
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    return np.sum(diff * diff, axis=2)
 
 
 class TestMedianHeuristic:
     def test_two_points(self):
         # distance 2 -> 2 sigma^2 = 2 -> sigma = 1
-        assert median_heuristic_bandwidth([[0.0]], [[2.0]]) == pytest.approx(1.0)
+        assert median_heuristic_bandwidth(pooled_sq([[0.0]], [[2.0]])) == pytest.approx(1.0)
 
     def test_three_collinear(self):
         # pairwise distances {1, 1, 2}, median 1 -> sigma = sqrt(0.5)
-        sigma = median_heuristic_bandwidth([[0.0], [1.0]], [[2.0]])
+        sigma = median_heuristic_bandwidth(pooled_sq([[0.0], [1.0]], [[2.0]]))
         assert sigma == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_zero_median_falls_back_to_smallest_positive(self):
         # distances {0 x6, 1 x4}: median 0 -> fall back to 1 -> sigma = sqrt(0.5)
-        sigma = median_heuristic_bandwidth([[0.0], [0.0], [0.0]], [[0.0], [1.0]])
+        sigma = median_heuristic_bandwidth(pooled_sq([[0.0], [0.0], [0.0]], [[0.0], [1.0]]))
         assert sigma == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_all_identical_errors(self):
         with pytest.raises(ValueError, match="identical"):
-            median_heuristic_bandwidth([[1.0], [1.0]], [[1.0]])
+            median_heuristic_bandwidth(pooled_sq([[1.0], [1.0]], [[1.0]]))
 
 
 class TestPermutationMmd:
@@ -283,10 +292,42 @@ class TestPermutationMmd:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((10, 2))
         y = rng.standard_normal((11, 2)) + 1.0
-        sigma = median_heuristic_bandwidth(x, y)
         r = permutation_test_mmd(x, y, n_permutations=10, seed=0)
-        assert r.statistic == pytest.approx(mmd2_unbiased(x, y, sigma), abs=1e-12)
-        assert r.detail["bandwidth"] == pytest.approx(sigma)
+        sigma = r.detail["bandwidth"]
+        assert sigma == pytest.approx(median_bandwidth_loop(x, y), rel=1e-12)
+        assert r.statistic == pytest.approx(mmd2_double_loop(x, y, sigma), abs=1e-12)
+
+    def test_bandwidth_matches_pair_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            x = rng.standard_normal((int(rng.integers(2, 9)), d))
+            y = rng.standard_normal((int(rng.integers(2, 9)), d)) * 2.0 + 0.5
+            # coarse rounding ties most pairs; 5 of these draws have a zero
+            # median and take the smallest-positive fallback
+            if rng.random() < 0.5:
+                x, y = np.round(x / 3), np.round(y / 3)
+            r = permutation_test_mmd(x, y, n_permutations=1)
+            assert r.detail["bandwidth"] == pytest.approx(median_bandwidth_loop(x, y), rel=1e-12)
+
+    def test_bandwidth_computed_once_per_call(self, monkeypatch):
+        # The benchmark tracer times the bandwidth step through this
+        # module attribute, so the test must find it on the call path.
+        returned = []
+        inner = stats_module.median_heuristic_bandwidth
+
+        def counting(sq):
+            returned.append(inner(sq))
+            return returned[-1]
+
+        monkeypatch.setattr(stats_module, "median_heuristic_bandwidth", counting)
+        rng = np.random.default_rng(14)
+        for call in range(1, 4):
+            x = rng.standard_normal((6, 2))
+            y = rng.standard_normal((7 + call, 2))
+            r = permutation_test_mmd(x, y, n_permutations=5, seed=call)
+            assert len(returned) == call
+            assert returned[-1] == r.detail["bandwidth"]
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_reproduced_split_always_counted(self, m, n):
@@ -301,8 +342,8 @@ class TestPermutationMmd:
             x = rng.standard_normal((m, 2))
             y = rng.standard_normal((n, 2)) + 6.0
             pooled = np.vstack([x, y])
-            sigma = median_heuristic_bandwidth(x, y)
-            observed = mmd2_unbiased(x, y, sigma)
+            sigma = permutation_test_mmd(x, y, n_permutations=1).detail["bandwidth"]
+            observed = mmd2_double_loop(x, y, sigma)
             for seed in range(2):
                 expected = 0
                 for i in range(200):
@@ -311,7 +352,7 @@ class TestPermutationMmd:
                     if split == observed_split:
                         expected += 1
                         continue
-                    stat = mmd2_unbiased(pooled[perm[:m]], pooled[perm[m:]], sigma)
+                    stat = mmd2_double_loop(pooled[perm[:m]], pooled[perm[m:]], sigma)
                     assert abs(stat - observed) > 1e-9
                     expected += stat > observed
                 r = permutation_test_mmd(x, y, n_permutations=200, seed=seed)
@@ -325,10 +366,10 @@ class TestPermutationMmd:
             x = rng.standard_normal((m, 3))
             y = rng.standard_normal((n, 3)) + 0.4
             r = permutation_test_mmd(x, y, n_permutations=n_permutations, seed=seed)
-            sigma = median_heuristic_bandwidth(x, y)
+            sigma = r.detail["bandwidth"]
+            assert sigma == pytest.approx(median_bandwidth_loop(x, y), rel=1e-12)
             assert r.p_value == mmd_permutation_loop(x, y, sigma, n_permutations, seed)
-            assert r.detail["bandwidth"] == sigma
-            assert abs(r.statistic - mmd2_unbiased(x, y, sigma)) <= 1e-12
+            assert abs(r.statistic - mmd2_double_loop(x, y, sigma)) <= 1e-12
 
 
 class TestTTests:
