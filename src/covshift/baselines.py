@@ -185,7 +185,7 @@ def detect_mmd(
     ref: VectorSample,
     window: VectorSample,
     alpha: float,
-    n_permutations: int = 100,
+    n_permutations: int,
     seed: int = 0,
 ) -> TestResult:
     """MMD permutation test, with the reference capped by seeded subsampling."""

@@ -18,6 +18,8 @@ from . import detector as detector_mod
 from .baselines import VectorKind, VectorSample, load_vectors
 from .detector import ModelFormatError, detect, fit, load_model, save_model, write_atomic
 from .eval import (
+    DEFAULT_PERMUTATIONS,
+    DEFAULT_WINDOW_SIZES,
     METHODS,
     MethodSettings,
     TrialPlan,
@@ -72,7 +74,7 @@ def cmd_fit(args) -> int:
         raise ValueError(f"m must be >= 2 to fit, got m={len(sample)}")
     model = fit(sample, delta=args.delta, c_target_count=args.coverages)
     save_model(model, args.out)
-    print(f"fitted {model.c_target_count} coverage bounds on m={model.m} scores "
+    print(f"fitted {len(model.pairs)} coverage bounds on m={model.m} scores "
           f"(kappa={model.kappa_name}, delta={model.delta})")
     print(f"{'c_target':>10} {'b_star':>12} {'theta':>18}")
     for pair in model.pairs:
@@ -108,15 +110,7 @@ def cmd_detect(args) -> int:
             "shift_detected": report.shift_detected,
             "alpha": args.alpha,
             "window_size": report.window_size,
-            "per_coverage": [
-                {
-                    "c_target": c.c_target,
-                    "b_star": c.b_star,
-                    "empirical_coverage": c.empirical_coverage,
-                    "violated": c.violated,
-                }
-                for c in report.per_coverage
-            ],
+            "per_coverage": [c._asdict() for c in report.per_coverage],
         }
         write_atomic(args.report, json.dumps(payload, indent=2) + "\n")
     return EXIT_SHIFT if report.shift_detected else EXIT_OK
@@ -157,14 +151,9 @@ def cmd_eval(args) -> int:
     spec = METHODS[args.method]
     load_pools = _load_score_pools if spec.input_kind == "score" else _load_vector_pools
     train, id_pool, shifted_pool = load_pools(args)
-    settings = MethodSettings(args.alpha, args.delta, args.coverages, args.permutations)
+    settings = MethodSettings(args.delta, args.coverages, args.permutations)
     method = spec.build(train, settings)
-    plan = TrialPlan(
-        window_sizes=tuple(args.window_sizes),
-        n_trials=args.trials,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    plan = TrialPlan(window_sizes=tuple(args.window_sizes), n_trials=args.trials, seed=args.seed)
     outcome = run_trials(id_pool, shifted_pool, method, plan)
     write_atomic(args.out, outcome.to_csv())
     print(f"wrote {len(outcome.rows)} metric rows to {args.out}")
@@ -192,15 +181,14 @@ def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
     window = gen_scores(UniformDist(), k, seed + 1).scores
     if spec.input_kind == "vector":
         ref, window = _as_vectors(ref), window[:, None]
-    settings = MethodSettings()
     start = time.perf_counter()
-    method = spec.build(ref, settings)
+    method = spec.build(ref, MethodSettings())
     fit_seconds = time.perf_counter() - start
     if spec.one_shot is None:
         return fit_seconds, _median_of_timed(lambda: method.p_value(window, seed))
     # Baselines are timed as the source paper runs them: the two-sample
     # test on the raw reference for every window.
-    return fit_seconds, _median_of_timed(lambda: spec.one_shot(ref, window, settings, seed))
+    return fit_seconds, _median_of_timed(lambda: spec.one_shot(ref, window))
 
 
 def cmd_bench(args) -> int:
@@ -289,13 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=["raw", "softmax", "embedding"], default="raw")
     p_eval.add_argument("--header", action="store_true")
     p_eval.add_argument("--kappa", choices=["sr", "entropy", "raw"], default="raw")
-    p_eval.add_argument("--window-sizes", type=_int_list, default=[10, 20, 50, 100, 200, 500, 1000])
+    p_eval.add_argument("--window-sizes", type=_int_list, default=list(DEFAULT_WINDOW_SIZES))
     p_eval.add_argument("--trials", type=int, default=15)
-    p_eval.add_argument("--alpha", type=float, default=0.05)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--delta", type=float, default=detector_mod.DEFAULT_DELTA)
     p_eval.add_argument("--coverages", type=int, default=detector_mod.DEFAULT_C_TARGET_COUNT)
-    p_eval.add_argument("--permutations", type=int, default=100)
+    p_eval.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
     p_eval.add_argument("--out", required=True, help="metrics CSV path")
     p_eval.set_defaults(func=cmd_eval)
 

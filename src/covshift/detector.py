@@ -61,16 +61,12 @@ class DetectorModel:
 
     pairs: tuple[CoverageBound, ...]
     delta: float
-    c_target_count: int
     kappa_name: str
     m: int
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != self.c_target_count:
-            raise ValueError(
-                f"expected {self.c_target_count} coverage pairs, got {len(self.pairs)}"
-            )
+        if not self.pairs:
+            raise ValueError("a model needs at least one coverage pair")
         targets = [p.c_target for p in self.pairs]
         if any(not _COVERAGE_GRID_LO <= c < _COVERAGE_GRID_HI for c in targets):
             raise ValueError(f"c_targets must lie in [0.1, 1), got {targets}")
@@ -124,13 +120,7 @@ def fit(
         run_sgc(sorted_scores, SgcConfig(delta=delta, target_coverage=c))
         for c in coverage_grid(c_target_count)
     )
-    return DetectorModel(
-        pairs=pairs,
-        delta=delta,
-        c_target_count=c_target_count,
-        kappa_name=sample.kappa_name,
-        m=len(sample),
-    )
+    return DetectorModel(pairs=pairs, delta=delta, kappa_name=sample.kappa_name, m=len(sample))
 
 
 def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> DetectionReport:
@@ -192,10 +182,10 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
 
 def _model_payload(model: DetectorModel) -> dict:
     return {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "kappa_name": model.kappa_name,
         "delta": model.delta,
-        "c_target_count": model.c_target_count,
+        "c_target_count": len(model.pairs),
         "m": model.m,
         "pairs": [
             {
@@ -298,16 +288,17 @@ def load_model(path: str) -> DetectorModel:
             )
             for p in _json_pairs(payload["pairs"])
         )
+        count = _json_int(payload["c_target_count"], "c_target_count")
+        if count != len(pairs):
+            raise ValueError(f"expected {count} coverage pairs, got {len(pairs)}")
         kappa_name = payload["kappa_name"]
         if type(kappa_name) is not str:
             raise TypeError(f"kappa_name must be a JSON string, got {kappa_name!r}")
         model = DetectorModel(
             pairs=pairs,
             delta=_json_number(payload["delta"], "delta"),
-            c_target_count=_json_int(payload["c_target_count"], "c_target_count"),
             kappa_name=kappa_name,
             m=_json_int(payload["m"], "m"),
-            format_version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from None

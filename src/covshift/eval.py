@@ -10,7 +10,7 @@ image-space shifts at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol, Union
+from typing import Callable, ClassVar, NamedTuple, Protocol, Union
 
 import numpy as np
 
@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_SIZES = (10, 20, 50, 100, 200, 500, 1000)
+DEFAULT_PERMUTATIONS = 100
+
+# The detectors take a significance level, which sets only their verdict
+# fields; the adaptors return p-values, so no level reaches eval's output.
+_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class LabeledPValues:
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """Window sizes, trial count, significance level, and base seed."""
+    """Window sizes, trial count, base seed, and an alpha no metric reads."""
 
     window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
     n_trials: int = 15
@@ -337,12 +342,12 @@ class WindowMethod(Protocol):
 class CoverageDetectorMethod:
     """The fitted coverage detector as a window-level p-value source."""
 
+    name: ClassVar[str] = "ours"
     model: DetectorModel
-    name: str = "ours"
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
         sample = ScoreSample(scores=window, kappa_name=self.model.kappa_name)
-        return detect(self.model, sample, alpha=0.05).p_value
+        return detect(self.model, sample, _ALPHA).p_value
 
 
 @dataclass
@@ -353,9 +358,8 @@ class KsMethod:
     bit-identical to the one-shot detect_ks.
     """
 
+    name: ClassVar[str] = "ks"
     ref: VectorSample
-    alpha: float = 0.05
-    name: str = "ks"
     columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -363,21 +367,20 @@ class KsMethod:
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
         sample = VectorSample(window, kind=self.ref.kind)
-        return detect_ks_sorted(self.columns, sample, self.alpha).p_value
+        return detect_ks_sorted(self.columns, sample, _ALPHA).p_value
 
 
 @dataclass
 class MmdMethod:
+    name: ClassVar[str] = "mmd"
     ref: VectorSample
-    alpha: float = 0.05
-    n_permutations: int = 100
-    name: str = "mmd"
+    n_permutations: int = DEFAULT_PERMUTATIONS
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
         return detect_mmd(
             self.ref,
             VectorSample(window, kind=self.ref.kind),
-            self.alpha,
+            _ALPHA,
             n_permutations=self.n_permutations,
             seed=seed,
         ).p_value
@@ -395,7 +398,6 @@ class SingleInstanceMethod:
 
     ref: ScoreSample
     estimator: SingleInstanceEstimator
-    alpha: float = 0.05
     moments: WelchMoments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -414,10 +416,9 @@ class SingleInstanceMethod:
 class MethodSettings(NamedTuple):
     """Settings a method's adaptor is built with; `covshift bench` uses the defaults."""
 
-    alpha: float = 0.05
     delta: float = DEFAULT_DELTA
     c_target_count: int = DEFAULT_C_TARGET_COUNT
-    n_permutations: int = 100
+    n_permutations: int = DEFAULT_PERMUTATIONS
 
 
 Pool = Union[ScoreSample, VectorSample]
@@ -428,7 +429,7 @@ class MethodSpec(NamedTuple):
 
     build takes the reference pool of that kind; for "ours" building is
     the fit, for ks and single-instance the reference-only work.
-    one_shot(ref, window, settings, seed) is the per-window p-value
+    one_shot(ref, window) is the per-window p-value
     of the source paper's two-sample baseline on the raw reference, which
     `covshift bench` times; None where the adaptor's p_value already is
     that (ours, and mmd, which has no reference-only work).
@@ -436,17 +437,17 @@ class MethodSpec(NamedTuple):
 
     input_kind: str
     build: Callable[[Pool, MethodSettings], WindowMethod]
-    one_shot: Callable[[Pool, np.ndarray, MethodSettings, int], float] | None = None
+    one_shot: Callable[[Pool, np.ndarray], float] | None = None
 
 
-def _ks_one_shot(ref: VectorSample, window: np.ndarray, s: MethodSettings, seed: int) -> float:
-    return detect_ks(ref, VectorSample(window, kind=ref.kind), s.alpha).p_value
+def _ks_one_shot(ref: VectorSample, window: np.ndarray) -> float:
+    return detect_ks(ref, VectorSample(window, kind=ref.kind), _ALPHA).p_value
 
 
 def _single_one_shot(estimator: SingleInstanceEstimator):
-    def p_value(ref: ScoreSample, window: np.ndarray, s: MethodSettings, seed: int) -> float:
+    def p_value(ref: ScoreSample, window: np.ndarray) -> float:
         sample = ScoreSample(scores=window, kappa_name=ref.kappa_name)
-        return detect_single_instance(ref, sample, s.alpha, estimator).p_value
+        return detect_single_instance(ref, sample, _ALPHA, estimator).p_value
 
     return p_value
 
@@ -458,18 +459,16 @@ METHODS: dict[str, MethodSpec] = {
             fit(ref, delta=s.delta, c_target_count=s.c_target_count)
         ),
     ),
-    "ks": MethodSpec("vector", lambda ref, s: KsMethod(ref, alpha=s.alpha), _ks_one_shot),
-    "mmd": MethodSpec(
-        "vector", lambda ref, s: MmdMethod(ref, alpha=s.alpha, n_permutations=s.n_permutations)
-    ),
+    "ks": MethodSpec("vector", lambda ref, s: KsMethod(ref), _ks_one_shot),
+    "mmd": MethodSpec("vector", lambda ref, s: MmdMethod(ref, n_permutations=s.n_permutations)),
     "single-sr": MethodSpec(
         "score",
-        lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.SR, s.alpha),
+        lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.SR),
         _single_one_shot(SingleInstanceEstimator.SR),
     ),
     "single-ent": MethodSpec(
         "score",
-        lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.ENTROPY, s.alpha),
+        lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.ENTROPY),
         _single_one_shot(SingleInstanceEstimator.ENTROPY),
     ),
 }
@@ -487,7 +486,7 @@ class MetricsRow(NamedTuple):
     seed: int
 
 
-CSV_HEADER = "method,window_size,auroc,aupr_in,aupr_out,detection_error,fpr_at_95tpr,n_trials,seed"
+CSV_HEADER = ",".join(MetricsRow._fields)
 
 
 @dataclass

@@ -224,17 +224,14 @@ def load_scores(
     format: str,
     cf: ConfidenceFunction | None = None,
     header: bool = False,
-    source_id: str | None = None,
 ) -> ScoreSample:
     """Load a ScoreSample from a raw_scores or softmax_csv file.
 
     raw_scores holds one decimal float per line, a one-column CSV, and is
     taken verbatim (kappa_name raw_passthrough unless cf overrides the label).
     softmax_csv rows are validated as probability vectors and converted
-    through the given confidence function.
+    through the given confidence function. The sample's source_id is the path.
     """
-    if source_id is None:
-        source_id = path
     if format == "raw_scores":
         matrix, first_line = read_csv_matrix(path)
         if matrix.shape[1] != 1:
@@ -244,7 +241,7 @@ def load_scores(
             )
         values = matrix[:, 0]
         name = (cf or ConfidenceFunction.RAW_PASSTHROUGH).value
-        return ScoreSample(scores=values, kappa_name=name, source_id=source_id)
+        return ScoreSample(scores=values, kappa_name=name, source_id=path)
     if format == "softmax_csv":
         if cf is None or cf is ConfidenceFunction.RAW_PASSTHROUGH:
             raise ValueError("softmax_csv requires a softmax_response or one_minus_entropy CF")
@@ -253,6 +250,6 @@ def load_scores(
         return ScoreSample(
             scores=kappa_of_rows(matrix, cf),
             kappa_name=cf.value,
-            source_id=source_id,
+            source_id=path,
         )
     raise ValueError(f"unknown score file format {format!r}")

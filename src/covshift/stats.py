@@ -341,7 +341,7 @@ def median_heuristic_bandwidth(sq: np.ndarray) -> float:
     return math.sqrt(med / 2.0)
 
 
-def permutation_test_mmd(x, y, n_permutations: int = 100, seed: int = 0) -> TestResult:
+def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult:
     """Permutation test for the unbiased squared MMD.
 
     One pooled squared-distance matrix gives both the median-heuristic

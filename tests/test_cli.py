@@ -62,7 +62,7 @@ class TestFit:
     def test_defaults_recorded(self, model_file):
         model = load_model(str(model_file))
         assert model.delta == 0.01
-        assert model.c_target_count == 10
+        assert len(model.pairs) == 10
 
     def test_two_point_boundary(self, tmp_path):
         scores = tmp_path / "two.txt"
@@ -114,6 +114,9 @@ class TestDetect:
         assert payload["shift_detected"] is True
         assert payload["p_value"] < 0.001
         assert len(payload["per_coverage"]) == 10
+        assert list(payload["per_coverage"][0]) == [
+            "c_target", "b_star", "empirical_coverage", "violated"
+        ]
 
     def test_alpha_zero_never_flags(self, tmp_path, model_file):
         window = tmp_path / "window.txt"

@@ -38,11 +38,36 @@ def small_model():
     return fit(sample, delta=0.01, c_target_count=10)
 
 
+FORMAT_1_TWO_PAIRS = """{
+  "format_version": 1,
+  "kappa_name": "raw_passthrough",
+  "delta": 0.01,
+  "c_target_count": 2,
+  "m": 100,
+  "pairs": [
+    {
+      "c_target": 0.1,
+      "b_star": 0.09871234567890123,
+      "theta": 0.9744612082,
+      "iterations": 12,
+      "empirical_coverage_at_fit": 0.1002
+    },
+    {
+      "c_target": 0.55,
+      "b_star": 0.3333333333333333,
+      "theta": -1.5e-07,
+      "iterations": 3,
+      "empirical_coverage_at_fit": 1.0
+    }
+  ]
+}
+"""
+
+
 def manual_model(pairs):
     return DetectorModel(
         pairs=tuple(pairs),
         delta=0.01,
-        c_target_count=len(pairs),
         kappa_name="raw_passthrough",
         m=100,
     )
@@ -73,7 +98,7 @@ class TestFit:
         assert len(set(targets)) == len(targets)
         assert small_model.m == 5000
         assert small_model.kappa_name == "raw_passthrough"
-        assert small_model.c_target_count == 10
+        assert len(small_model.pairs) == 10
 
     def test_model_invariant_enforced(self):
         pair = CoverageBound(
@@ -312,6 +337,16 @@ class TestModelSerialization:
         save_model(model, str(path))
         assert load_model(str(path)) == model
 
+    def test_format_1_on_disk(self, tmp_path):
+        # The file text, keys and their order included, as format 1 writes it.
+        pairs = [
+            CoverageBound(0.1, 0.09871234567890123, 0.9744612082, 12, 0.1002),
+            CoverageBound(0.55, 1.0 / 3.0, -1.5e-7, 3, 1.0),
+        ]
+        path = tmp_path / "model.json"
+        save_model(manual_model(pairs), str(path))
+        assert path.read_text(encoding="utf-8") == FORMAT_1_TWO_PAIRS
+
     def test_future_version_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(small_model, str(path))
@@ -368,11 +403,17 @@ class TestModelSerialization:
             ("c_target_count must be", lambda p: p.update(c_target_count=10.7)),
             ("iterations must be", lambda p: p["pairs"][0].update(iterations=3.9)),
             ("unsupported format_version", lambda p: p.update(format_version=True)),
+            ("at least one coverage pair", lambda p: p.update(c_target_count=0, pairs=[])),
+            ("expected 5 coverage pairs, got 10", lambda p: p.update(c_target_count=5)),
         ],
-        ids=["m-fraction", "m-float", "m-string", "c_target_count", "iterations", "bool-version"],
+        ids=[
+            "m-fraction", "m-float", "m-string", "c_target_count", "iterations", "bool-version",
+            "zero-pairs", "count-mismatch",
+        ],
     )
     def test_non_integer_count_rejected(self, small_model, tmp_path, message, edit):
-        # a truncating int() would load 500.9 as 500 and true as format_version 1
+        # a truncating int() would load 500.9 as 500 and true as format_version 1;
+        # c_target_count must also equal the number of pairs, of which there is at least one
         path = self._tampered(small_model, tmp_path, edit)
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)

@@ -228,6 +228,9 @@ class TestRunTrials:
         csv = outcome.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == CSV_HEADER
+        assert CSV_HEADER == (
+            "method,window_size,auroc,aupr_in,aupr_out,detection_error,fpr_at_95tpr,n_trials,seed"
+        )
         assert len(lines) == 4
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
@@ -313,5 +316,5 @@ class TestFittedAdaptors:
             ref = scores if spec.input_kind == "score" else vectors
             window = windows[spec.input_kind]
             fitted = spec.build(ref, settings).p_value(window, 3)
-            assert spec.one_shot(ref, window, settings, 3) == fitted, name
+            assert spec.one_shot(ref, window) == fitted, name
         assert {n for n, spec in METHODS.items() if spec.one_shot is None} == {"ours", "mmd"}
