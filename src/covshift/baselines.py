@@ -117,11 +117,9 @@ def load_vectors(path: str, kind: VectorKind, header: bool = False) -> VectorSam
     return VectorSample(vectors=matrix, kind=kind, source=path, first_line=first_line)
 
 
-def _check_dims(ref: VectorSample, window: VectorSample) -> None:
-    if ref.dim != window.dim:
-        raise ValueError(
-            f"dimension mismatch: reference d={ref.dim}, window d={window.dim}"
-        )
+def _check_dims(ref_dim: int, window_dim: int) -> None:
+    if ref_dim != window_dim:
+        raise ValueError(f"dimension mismatch: reference d={ref_dim}, window d={window_dim}")
 
 
 def detect_ks(ref: VectorSample, window: VectorSample, alpha: float) -> TestResult:
@@ -130,7 +128,7 @@ def detect_ks(ref: VectorSample, window: VectorSample, alpha: float) -> TestResu
     Rejects when the minimal per-dimension p-value is below alpha / d,
     i.e. when the aggregate p-value min(1, d * min_p) is below alpha.
     """
-    _check_dims(ref, window)
+    _check_dims(ref.dim, window.dim)
     return _bonferroni(
         [ks_two_sample(ref.vectors[:, j], window.vectors[:, j]) for j in range(ref.dim)], alpha
     )
@@ -150,10 +148,7 @@ def sort_columns(ref: VectorSample) -> np.ndarray:
 
 def detect_ks_sorted(columns: np.ndarray, window: VectorSample, alpha: float) -> TestResult:
     """detect_ks against the reference columns from sort_columns(ref), bit for bit."""
-    if columns.shape[0] != window.dim:
-        raise ValueError(
-            f"dimension mismatch: reference d={columns.shape[0]}, window d={window.dim}"
-        )
+    _check_dims(columns.shape[0], window.dim)
     return _bonferroni(
         [ks_against_sorted(column, window.vectors[:, j]) for j, column in enumerate(columns)],
         alpha,
@@ -170,7 +165,6 @@ def _bonferroni(results: list[TestResult], alpha: float) -> TestResult:
     return TestResult(
         statistic=float(statistics.max()),
         p_value=aggregate_p,
-        method="ks_bonferroni",
         detail={
             "dimensions": d,
             "argmin_dimension": argmin_dim,
@@ -189,7 +183,7 @@ def detect_mmd(
     seed: int = 0,
 ) -> TestResult:
     """MMD permutation test, with the reference capped by seeded subsampling."""
-    _check_dims(ref, window)
+    _check_dims(ref.dim, window.dim)
     ref_rows = ref.vectors
     capped = len(ref) > MMD_REF_CAP_DEFAULT
     if capped:
@@ -208,7 +202,7 @@ def detect_mmd(
             "alpha": alpha,
         }
     )
-    return TestResult(inner.statistic, inner.p_value, "mmd_permutation", detail)
+    return TestResult(inner.statistic, inner.p_value, detail)
 
 
 def detect_single_instance(
@@ -232,4 +226,4 @@ def detect_single_instance(
     inner = t_test_two_sample_welch(ref_scores.scores, window_scores.scores)
     detail = dict(inner.detail)
     detail.update({"estimator": estimator.value, "reject": inner.p_value < alpha, "alpha": alpha})
-    return TestResult(inner.statistic, inner.p_value, f"single_{estimator.value}", detail)
+    return TestResult(inner.statistic, inner.p_value, detail)

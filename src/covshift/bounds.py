@@ -102,26 +102,24 @@ def _lower_tail_sum(m: int, x: int, b: float) -> float:
 
 
 @lru_cache(maxsize=200_000)
-def _solve_bound_cached(m: int, successes: int, delta: float) -> tuple[float, bool]:
-    if successes == m:
+def solve_bound(q: BoundQuery) -> BoundResult:
+    """Minimal b with BinomialCDF(successes; m, b) <= 1 - delta.
+
+    Cached on the query, which is frozen and so hashes by its fields.
+    """
+    if q.successes == q.m:
         # CDF is identically 1, so the constraint is unsatisfiable; fall
         # back to the exact Clopper-Pearson lower bound for a full-success
         # sample and flag it.
-        return delta ** (1.0 / m), False
-    limit = 1.0 - delta
+        return BoundResult(b_star=q.delta ** (1.0 / q.m), satisfiable=False)
+    limit = 1.0 - q.delta
     lo, hi = 0.0, 1.0
     # cdf(lo)=1 > limit (infeasible), cdf(hi)=0 <= limit (feasible); bisect
     # until the bracket is narrower than the tolerance.
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if binomial_cdf(successes, m, mid) <= limit:
+        if binomial_cdf(q.successes, q.m, mid) <= limit:
             hi = mid
         else:
             lo = mid
-    return hi, True
-
-
-def solve_bound(q: BoundQuery) -> BoundResult:
-    """Minimal b with BinomialCDF(successes; m, b) <= 1 - delta."""
-    b_star, satisfiable = _solve_bound_cached(q.m, q.successes, q.delta)
-    return BoundResult(b_star=b_star, satisfiable=satisfiable)
+    return BoundResult(b_star=hi, satisfiable=True)

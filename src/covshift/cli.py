@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--header", action="store_true")
     p_eval.add_argument("--kappa", choices=["sr", "entropy", "raw"], default="raw")
     p_eval.add_argument("--window-sizes", type=_int_list, default=list(DEFAULT_WINDOW_SIZES))
-    p_eval.add_argument("--trials", type=int, default=15)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--trials", type=int, default=TrialPlan.n_trials)
+    p_eval.add_argument("--seed", type=int, default=TrialPlan.seed)
     p_eval.add_argument("--delta", type=float, default=detector_mod.DEFAULT_DELTA)
     p_eval.add_argument("--coverages", type=int, default=detector_mod.DEFAULT_C_TARGET_COUNT)
     p_eval.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)

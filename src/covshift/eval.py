@@ -75,7 +75,7 @@ class LabeledPValues:
         y = np.asarray(self.is_shifted, dtype=bool)
         if p.ndim != 1 or p.size < 1 or p.shape != y.shape:
             raise ValueError("need matching nonempty p-value and label arrays")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "is_shifted", y)
@@ -105,26 +105,6 @@ class TrialPlan:
         object.__setattr__(self, "window_sizes", sizes)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    midrank = (starts + ends + 1) / 2.0
-    return midrank[inverse]
-
-
-def auroc(data: LabeledPValues) -> float:
-    """Rank-based AUROC of the detection score 1 - p; ties count half."""
-    data.require_both_classes()
-    scores = 1.0 - data.p_values
-    ranks = _midranks(scores)
-    n_pos = int(data.is_shifted.sum())
-    n_neg = data.is_shifted.size - n_pos
-    rank_sum = float(ranks[data.is_shifted].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
 def _grouped_counts(scores: np.ndarray, positives: np.ndarray):
     # Cumulative true/false positive counts at each distinct score
     # threshold, descending; tied scores form one threshold step.
@@ -136,6 +116,21 @@ def _grouped_counts(scores: np.ndarray, positives: np.ndarray):
     last_of_group = np.nonzero(np.diff(sorted_scores) != 0.0)[0]
     idx = np.concatenate([last_of_group, [scores.size - 1]])
     return tp[idx], fp[idx]
+
+
+def auroc(data: LabeledPValues) -> float:
+    """Mann-Whitney AUROC of the detection score 1 - p; ties count half.
+
+    Walking the thresholds downwards, each negative loses to every
+    positive above its threshold and ties with the positives at it. Every
+    term is a multiple of 1/2, so the pair count U is exact.
+    """
+    data.require_both_classes()
+    tp, fp = _grouped_counts(1.0 - data.p_values, data.is_shifted)
+    step_tp = np.diff(tp, prepend=0)
+    step_fp = np.diff(fp, prepend=0)
+    u = float((step_fp * (tp - step_tp / 2.0)).sum())
+    return u / (int(tp[-1]) * int(fp[-1]))
 
 
 def aupr(data: LabeledPValues, positive: str) -> float:
@@ -288,13 +283,24 @@ def gen_vectors(dist: VectorDist, n: int, seed: int) -> VectorSample:
     raise ValueError(f"unsupported vector distribution {dist!r}")
 
 
-def _parse_component(text: str) -> Union[BetaDist, UniformDist]:
+def _parse_values(text: str, types: tuple, kind: str, spec: str) -> list:
+    # One value per entry of types from comma-separated text; a wrong count
+    # or an unparsable value is a parse error that names the whole spec.
+    fields = text.split(",")
+    if len(fields) == len(types):
+        try:
+            return [t(f) for t, f in zip(types, fields)]
+        except ValueError:
+            pass
+    raise ValueError(f"cannot parse {kind} distribution {spec!r}")
+
+
+def _parse_component(text: str, spec: str) -> Union[BetaDist, UniformDist]:
     text = text.strip()
     if text == "uniform":
         return UniformDist()
     if text.startswith("beta(") and text.endswith(")"):
-        a, b = (float(v) for v in text[len("beta("):-1].split(","))
-        return BetaDist(a, b)
+        return BetaDist(*_parse_values(text[len("beta("):-1], (float, float), "score", spec))
     raise ValueError(f"cannot parse mixture component {text!r}")
 
 
@@ -304,14 +310,14 @@ def parse_score_dist(spec: str) -> ScoreDist:
     if spec == "uniform":
         return UniformDist()
     if spec.startswith("beta:"):
-        a, b = (float(v) for v in spec[len("beta:"):].split(","))
-        return BetaDist(a, b)
+        return BetaDist(*_parse_values(spec[len("beta:"):], (float, float), "score", spec))
     if spec.startswith("mixture:"):
         parts = spec[len("mixture:"):].split("+")
         components = []
         for part in parts:
             weight_text, _, comp_text = part.partition("*")
-            components.append((float(weight_text), _parse_component(comp_text)))
+            (weight,) = _parse_values(weight_text, (float,), "score", spec)
+            components.append((weight, _parse_component(comp_text, spec)))
         return MixtureDist(tuple(components))
     raise ValueError(f"cannot parse score distribution {spec!r}")
 
@@ -320,11 +326,12 @@ def parse_vector_dist(spec: str) -> VectorDist:
     """Parse 'dirichlet:A1,A2,...' or 'gaussian:MU,SIGMA,DIM'."""
     spec = spec.strip()
     if spec.startswith("dirichlet:"):
-        alpha = tuple(float(v) for v in spec[len("dirichlet:"):].split(","))
-        return DirichletDist(alpha)
+        text = spec[len("dirichlet:"):]
+        alpha = _parse_values(text, (float,) * (text.count(",") + 1), "vector", spec)
+        return DirichletDist(tuple(alpha))
     if spec.startswith("gaussian:"):
-        mu_text, sigma_text, dim_text = spec[len("gaussian:"):].split(",")
-        return GaussianDist(float(mu_text), float(sigma_text), int(dim_text))
+        text = spec[len("gaussian:"):]
+        return GaussianDist(*_parse_values(text, (float, float, int), "vector", spec))
     raise ValueError(f"cannot parse vector distribution {spec!r}")
 
 
@@ -492,18 +499,13 @@ CSV_HEADER = ",".join(MetricsRow._fields)
 @dataclass
 class TrialOutcome:
     method: str
-    plan: TrialPlan
     per_size: dict[int, LabeledPValues] = field(default_factory=dict)
     rows: list[MetricsRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.method},{r.window_size},{r.auroc:.6f},{r.aupr_in:.6f},"
-                f"{r.aupr_out:.6f},{r.detection_error:.6f},{r.fpr_at_95tpr:.6f},"
-                f"{r.n_trials},{r.seed}"
-            )
+            lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in r))
         return "\n".join(lines) + "\n"
 
 
@@ -531,7 +533,7 @@ def run_trials(id_pool, shifted_pool, method: WindowMethod, plan: TrialPlan) -> 
             f"pools must hold at least max window size ({max_size}) entries; "
             f"got {id_rows.shape[0]} ID and {shifted_rows.shape[0]} shifted"
         )
-    outcome = TrialOutcome(method=method.name, plan=plan)
+    outcome = TrialOutcome(method=method.name)
     for si, k in enumerate(plan.window_sizes):
         p_values = np.empty(2 * plan.n_trials)
         labels = np.zeros(2 * plan.n_trials, dtype=bool)

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "TestResult",
-    "RNG_ALGORITHM",
     "make_rng",
     "substream",
     "incomplete_beta",
@@ -38,11 +37,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+
 # Philox is counter-based: the same 128-bit key yields the same stream on
 # every platform, which downstream reproducibility tests rely on.
-RNG_ALGORITHM = "philox4x64"
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator; identical streams for identical 64-bit seeds."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
@@ -66,7 +63,6 @@ class TestResult:
 
     statistic: float
     p_value: float
-    method: str
     detail: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -241,7 +237,6 @@ def _ks_result(z: float, n_a: int, n_b: int) -> TestResult:
     return TestResult(
         statistic=z,
         p_value=_ks_p_value(z, n_effective),
-        method="ks_two_sample",
         detail={"n_a": n_a, "n_b": n_b},
     )
 
@@ -405,7 +400,6 @@ def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult
     return TestResult(
         statistic=observed,
         p_value=p,
-        method="mmd_permutation",
         detail={
             "bandwidth": bandwidth,
             "n_permutations": n_permutations,
@@ -447,16 +441,16 @@ def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
     se_y = y.var / y.n
     if se_x + se_y == 0.0:
         if ref.mean == y.mean:
-            return TestResult(0.0, 1.0, "t_test_two_sample_welch", {"degenerate": True})
+            return TestResult(0.0, 1.0, {"degenerate": True})
         stat = math.copysign(math.inf, ref.mean - y.mean)
-        return TestResult(stat, 0.0, "t_test_two_sample_welch", {"degenerate": True})
+        return TestResult(stat, 0.0, {"degenerate": True})
     t = (ref.mean - y.mean) / math.sqrt(se_x + se_y)
     df = (se_x + se_y) ** 2 / (
         se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1)
     )
     p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
     p = min(1.0, max(0.0, p))
-    return TestResult(t, p, "t_test_two_sample_welch", {"df": df})
+    return TestResult(t, p, {"df": df})
 
 
 def t_test_two_sample_welch(a, b) -> TestResult:

@@ -6,9 +6,10 @@ bound solver, a plain double loop for MMD and one pass over the pooled
 pairs for its median-heuristic bandwidth, one kernel re-indexing per
 permutation for the MMD permutation test (sharing only the seeded
 substreams), one pass per coverage pair for the detector's violation
-terms, hand ECDF enumeration for KS, and the Welch t-test computed from
-both raw samples in one function (sharing only the t CDF). They must
-stay independent of the implementations they check.
+terms, hand ECDF enumeration for KS, the Welch t-test computed from
+both raw samples in one function (sharing only the t CDF), and a count
+over every positive/negative pair for AUROC. They must stay independent
+of the implementations they check.
 """
 
 import math
@@ -102,6 +103,17 @@ def median_bandwidth_loop(x, y) -> float:
             raise ValueError("median heuristic undefined: all points identical")
         med = min(positive)
     return math.sqrt(med / 2.0)
+
+
+def auroc_pair_count(scores, positives) -> float:
+    """AUROC as the share of positive/negative pairs the positive wins; ties count half."""
+    pos = [s for s, y in zip(scores, positives) if y]
+    neg = [s for s, y in zip(scores, positives) if not y]
+    wins = 0.0
+    for a in pos:
+        for b in neg:
+            wins += 1.0 if a > b else 0.5 if a == b else 0.0
+    return wins / (len(pos) * len(neg))
 
 
 def ks_statistic_enumerated(a, b) -> float:

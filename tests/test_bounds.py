@@ -104,6 +104,13 @@ class TestSolveBound:
                     if b > 1e-8:
                         assert binomial_cdf(s, m, b - 1e-8) > 1.0 - delta
 
+    def test_repeated_query_returns_cached_result(self):
+        # Cold-start timings empty the cache through solve_bound.cache_clear.
+        solve_bound.cache_clear()
+        first = solve_bound(BoundQuery(m=50, successes=40, delta=0.05))
+        assert solve_bound(BoundQuery(m=50, successes=40, delta=0.05)) is first
+        assert solve_bound.cache_info().hits == 1
+
     def test_bisection_tolerance_documented(self):
         assert BISECTION_TOL == 1e-10
 

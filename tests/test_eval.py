@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from covshift.eval import (
 )
 from covshift.scores import ScoreSample
 from covshift.stats import substream
+from oracles import auroc_pair_count
 
 
 def labeled(p_shifted, p_id):
@@ -68,6 +71,19 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auroc(LabeledPValues([0.1, 0.2], [True, True]))
+
+    def test_matches_pair_count_oracle_on_ties(self):
+        # Half the draws take p from five values, half round it to two
+        # decimals, so most thresholds hold several windows of both classes.
+        for i in range(300):
+            rng = substream(61, i)
+            n = int(rng.integers(2, 80))
+            p = rng.random(n)
+            p = np.floor(p * 5) / 4 if i % 2 else np.round(p, 2)
+            y = rng.random(n) < 0.5
+            if y.all() or not y.any():
+                y[0] = ~y[0]
+            assert auroc(LabeledPValues(p, y)) == auroc_pair_count(1.0 - p, y)
 
 
 class TestAupr:
@@ -138,6 +154,8 @@ class TestLabeledPValues:
             LabeledPValues([], [])
         with pytest.raises(ValueError):
             LabeledPValues([0.5], [True, False])
+        with pytest.raises(ValueError):
+            LabeledPValues([np.nan, 0.5, 0.2, 0.9], [True, False, True, False])
 
 
 class TestGenerators:
@@ -198,6 +216,20 @@ class TestDistParsing:
             parse_score_dist("zipf:2")
         with pytest.raises(ValueError):
             parse_vector_dist("uniform")
+        # A wrong count or an unparsable number names the whole spec.
+        score_specs = ["beta:5", "beta:1,2,3", "beta:a,1", "mixture:0.5*beta(1)+0.5*uniform",
+                       "mixture:x*uniform"]
+        for spec in score_specs:
+            with pytest.raises(ValueError, match=f"score distribution '{re.escape(spec)}'"):
+                parse_score_dist(spec)
+        for spec in ["gaussian:0,1", "gaussian:0,1,2.5", "dirichlet:", "dirichlet:1,,1"]:
+            with pytest.raises(ValueError, match=f"vector distribution '{re.escape(spec)}'"):
+                parse_vector_dist(spec)
+        # Out-of-range values keep their own messages.
+        with pytest.raises(ValueError, match="beta parameters must be > 0"):
+            parse_score_dist("beta:0,1")
+        with pytest.raises(ValueError, match="dirichlet needs >= 2 positive concentrations"):
+            parse_vector_dist("dirichlet:1")
 
 
 class TestTrialPlan:

@@ -445,4 +445,4 @@ class TestRng:
 
     def test_result_p_value_validated(self):
         with pytest.raises(ValueError):
-            StatsTestResult(statistic=0.0, p_value=1.5, method="x")
+            StatsTestResult(statistic=0.0, p_value=1.5)
