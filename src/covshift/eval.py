@@ -301,7 +301,7 @@ def _parse_component(text: str, spec: str) -> Union[BetaDist, UniformDist]:
         return UniformDist()
     if text.startswith("beta(") and text.endswith(")"):
         return BetaDist(*_parse_values(text[len("beta("):-1], (float, float), "score", spec))
-    raise ValueError(f"cannot parse mixture component {text!r}")
+    raise ValueError(f"cannot parse score distribution {spec!r}")
 
 
 def parse_score_dist(spec: str) -> ScoreDist:

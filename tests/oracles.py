@@ -9,7 +9,9 @@ substreams), one pass per coverage pair for the detector's violation
 terms, hand ECDF enumeration for KS, the Welch t-test computed from
 both raw samples in one function (sharing only the t CDF), and a count
 over every positive/negative pair for AUROC. They must stay independent
-of the implementations they check.
+of the implementations they check. The one exception is
+bisection_bound, the plain bisection the bracketed solver replays: it
+shares binomial_cdf on purpose, so that the two must agree bit for bit.
 """
 
 import math
@@ -17,6 +19,7 @@ import statistics
 
 import numpy as np
 
+from covshift.bounds import BISECTION_TOL, BoundQuery, binomial_cdf
 from covshift.stats import student_t_cdf, substream
 
 GRID_STEP = 1e-6
@@ -67,6 +70,21 @@ def grid_scan_bound(m: int, successes: int, delta: float) -> float:
     fine_idx = np.arange(first - _COARSE + 1, first + 1)
     feasible = _cdf_on_grid(m, successes, fine_idx * GRID_STEP, log_coeffs) <= limit
     return float(fine_idx[np.argmax(feasible)] * GRID_STEP)
+
+
+def bisection_bound(q: BoundQuery) -> float:
+    """b_star by bisecting [0, 1] to BISECTION_TOL, every mid evaluated."""
+    if q.successes == q.m:
+        return q.delta ** (1.0 / q.m)
+    limit = 1.0 - q.delta
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if binomial_cdf(q.successes, q.m, mid) <= limit:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def mmd2_double_loop(x: np.ndarray, y: np.ndarray, sigma: float) -> float:

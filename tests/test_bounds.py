@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import covshift.bounds as bounds
+import covshift.sgc as sgc
 from covshift.bounds import BISECTION_TOL, BoundQuery, BoundResult, binomial_cdf, solve_bound
-from oracles import grid_scan_bound
+from covshift.detector import fit
+from covshift.scores import ScoreSample
+from oracles import bisection_bound, grid_scan_bound
 
 
 class TestBinomialCdf:
@@ -127,3 +131,107 @@ class TestSolveBound:
             BoundQuery(m=5, successes=2, delta=1.0)
         with pytest.raises(ValueError):
             BoundResult(b_star=1.5, satisfiable=True)
+
+
+@pytest.fixture(scope="module")
+def fit_queries():
+    """The 200 bound queries of a fit at m = 1e6, in the order SGC asks them."""
+    queries = []
+
+    def record(q):
+        queries.append(q)
+        return solve_bound(q)
+
+    scores = np.random.default_rng(1).beta(5.0, 1.0, 1_000_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgc, "solve_bound", record)
+        fit(ScoreSample(scores), delta=0.01, c_target_count=10)
+    return queries
+
+
+def cold_solve(q, monkeypatch):
+    """b_star of q solved from an empty cache, and its binomial_cdf calls."""
+    calls = 0
+    cdf = bounds.binomial_cdf
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cdf(*args)
+
+    solve_bound.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(bounds, "binomial_cdf", counting)
+        b_star = solve_bound(q).b_star
+    solve_bound.cache_clear()
+    return b_star, calls
+
+
+class TestBracketedSolve:
+    """solve_bound brackets the root with Newton, then replays the bisection.
+
+    The replay must make every decision the plain bisection makes, so each
+    b_star equals the oracle's exactly.
+    """
+
+    def assert_matches_oracle(self, queries):
+        solve_bound.cache_clear()
+        mismatched = [q for q in queries if solve_bound(q).b_star != bisection_bound(q)]
+        assert not mismatched, mismatched[:5]
+
+    def test_every_small_sample(self):
+        deltas = (0.1, 0.01, 0.01 / 20)
+        self.assert_matches_oracle(
+            [BoundQuery(m, s, d) for d in deltas for m in range(1, 60) for s in range(m)]
+        )
+
+    def test_seeded_large_samples(self):
+        rng = np.random.default_rng(11)
+        queries = []
+        for _ in range(300):
+            m = int(10 ** rng.uniform(1, 9))
+            delta = float(10 ** rng.uniform(-6, -1))
+            for s in {0, 1, m // 2, m - 1, int(rng.integers(0, m))}:
+                queries.append(BoundQuery(m, s, delta))
+        self.assert_matches_oracle(queries)
+
+    def test_fit_queries(self, fit_queries):
+        assert len(fit_queries) == 200
+        self.assert_matches_oracle(fit_queries)
+
+    def test_degenerate_queries(self):
+        queries = [
+            BoundQuery(m, s, d)
+            for m in (1, 2, 3, 50, 1000, 10**6)
+            for s in {0, m // 2, m - 1}
+            for d in (1e-12, 0.01, 0.5, 0.9)
+        ]
+        self.assert_matches_oracle(queries)
+
+    def test_queries_where_the_cdf_rounds_flat(self):
+        # At tiny delta and small m the CDF changes by an ulp over many grid
+        # cells near the root and is not monotone at that scale; a bracket
+        # end that cleared the limit by rounding alone replayed some of
+        # these to a neighbouring grid point.
+        rng = np.random.default_rng(8)
+        queries = []
+        for _ in range(500):
+            m = int(rng.integers(2, 1000))
+            delta = float(10 ** rng.uniform(-12, -8))
+            queries.append(BoundQuery(m, int(rng.integers(0, m)), delta))
+        self.assert_matches_oracle(queries)
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan])
+    def test_unusable_slope_falls_back_to_full_bisection(self, slope, monkeypatch):
+        queries = [BoundQuery(m, s, 0.01) for m, s in [(1, 0), (2, 1), (50, 25), (10**6, 900_000)]]
+        bracketed = [cold_solve(q, monkeypatch) for q in queries]
+        monkeypatch.setattr(bounds, "_cdf_slope", lambda s, m, b: slope)
+        fallback = [cold_solve(q, monkeypatch) for q in queries]
+        # Only the start point is evaluated before the bisection takes over.
+        for q, (b_star, calls), (slow_b_star, slow_calls) in zip(queries, bracketed, fallback):
+            assert slow_b_star == b_star == bisection_bound(q), q
+            assert slow_calls > calls, q
+
+    def test_few_cdf_evaluations_per_cold_solve(self, fit_queries, monkeypatch):
+        calls = [cold_solve(q, monkeypatch)[1] for q in dict.fromkeys(fit_queries)]
+        assert max(calls) <= 12

@@ -218,7 +218,7 @@ class TestDistParsing:
             parse_vector_dist("uniform")
         # A wrong count or an unparsable number names the whole spec.
         score_specs = ["beta:5", "beta:1,2,3", "beta:a,1", "mixture:0.5*beta(1)+0.5*uniform",
-                       "mixture:x*uniform"]
+                       "mixture:x*uniform", "mixture:1", "mixture:0.5*gamma(1)+0.5*uniform"]
         for spec in score_specs:
             with pytest.raises(ValueError, match=f"score distribution '{re.escape(spec)}'"):
                 parse_score_dist(spec)
