@@ -8,15 +8,8 @@ t-tests), threshold-curve metrics, synthetic generators, and a scaling
 benchmark behind one CLI.
 """
 
-from .baselines import (
-    SingleInstanceEstimator,
-    VectorKind,
-    VectorSample,
-    detect_ks,
-    detect_mmd,
-    detect_single_instance,
-    load_vectors,
-)
+from importlib import import_module
+
 from .bounds import BoundQuery, BoundResult, binomial_cdf, solve_bound
 from .detector import (
     DetectionReport,
@@ -26,16 +19,6 @@ from .detector import (
     fit,
     load_model,
     save_model,
-)
-from .eval import (
-    LabeledPValues,
-    TrialPlan,
-    aupr,
-    auroc,
-    detection_error_and_fpr_at_95tpr,
-    gen_scores,
-    gen_vectors,
-    run_trials,
 )
 from .scores import ConfidenceFunction, ScoreSample, load_scores
 from .sgc import CoverageBound, SgcConfig, run_sgc
@@ -52,6 +35,47 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+# The baselines and the evaluation harness serve neither fitting nor
+# detection, so these modules and their names are imported on first
+# access (PEP 562): `covshift fit` and `covshift detect` never load them.
+_LAZY = {
+    "baselines": (
+        "SingleInstanceEstimator",
+        "VectorKind",
+        "VectorSample",
+        "detect_ks",
+        "detect_mmd",
+        "detect_single_instance",
+        "load_vectors",
+    ),
+    "eval": (
+        "LabeledPValues",
+        "TrialPlan",
+        "aupr",
+        "auroc",
+        "detection_error_and_fpr_at_95tpr",
+        "gen_scores",
+        "gen_vectors",
+        "run_trials",
+    ),
+}
+_LAZY_MODULE = {
+    name: module for module, names in _LAZY.items() for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    # Cached as a plain attribute, so later lookups bypass this function.
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BoundQuery",

@@ -15,22 +15,12 @@ import time
 import numpy as np
 
 from . import detector as detector_mod
-from .baselines import VectorKind, VectorSample, load_vectors
 from .detector import ModelFormatError, detect, fit, load_model, save_model, write_atomic
-from .eval import (
-    DEFAULT_PERMUTATIONS,
-    DEFAULT_WINDOW_SIZES,
-    METHODS,
-    MethodSettings,
-    TrialPlan,
-    UniformDist,
-    gen_scores,
-    gen_vectors,
-    parse_score_dist,
-    parse_vector_dist,
-    run_trials,
-)
 from .scores import ConfidenceFunction, ScoreSample, load_scores
+
+# covshift.eval and covshift.baselines are imported inside the commands
+# that use them (eval, bench, simulate), so fit and detect do not pay
+# for their import.
 
 __all__ = ["main", "entry"]
 
@@ -131,13 +121,17 @@ def _load_score_pools(args):
     return loader(args.train), loader(args.id), loader(args.shifted)
 
 
-def _as_vectors(sample: ScoreSample) -> VectorSample:
+def _as_vectors(sample: ScoreSample):
     # Scores act as 1-D embedding vectors so the two-sample baselines run
     # directly on score-space pools.
+    from .baselines import VectorKind, VectorSample
+
     return VectorSample(sample.scores[:, None], kind=VectorKind.EMBEDDING)
 
 
 def _load_vector_pools(args):
+    from .baselines import VectorKind, load_vectors
+
     if args.format == "raw":
         # --header does not apply to raw files.
         loader = lambda path: _as_vectors(load_scores(path, "raw_scores"))
@@ -147,13 +141,23 @@ def _load_vector_pools(args):
     return loader(args.train), loader(args.id), loader(args.shifted)
 
 
+def _given(**values) -> dict:
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def cmd_eval(args) -> int:
+    from .eval import METHODS, MethodSettings, TrialPlan, run_trials
+
     spec = METHODS[args.method]
     load_pools = _load_score_pools if spec.input_kind == "score" else _load_vector_pools
     train, id_pool, shifted_pool = load_pools(args)
-    settings = MethodSettings(args.delta, args.coverages, args.permutations)
+    settings = MethodSettings(**_given(
+        delta=args.delta, c_target_count=args.coverages, n_permutations=args.permutations
+    ))
     method = spec.build(train, settings)
-    plan = TrialPlan(window_sizes=tuple(args.window_sizes), n_trials=args.trials, seed=args.seed)
+    plan = TrialPlan(**_given(
+        window_sizes=args.window_sizes, n_trials=args.trials, seed=args.seed
+    ))
     outcome = run_trials(id_pool, shifted_pool, method, plan)
     write_atomic(args.out, outcome.to_csv())
     print(f"wrote {len(outcome.rows)} metric rows to {args.out}")
@@ -176,6 +180,8 @@ def _median_of_timed(fn, warmup: int = 1, reps: int = 5) -> float:
 
 
 def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
+    from .eval import METHODS, MethodSettings, UniformDist, gen_scores
+
     spec = METHODS[name]
     ref = gen_scores(UniformDist(), m, seed)
     window = gen_scores(UniformDist(), k, seed + 1).scores
@@ -211,6 +217,8 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from .eval import gen_scores, gen_vectors, parse_score_dist, parse_vector_dist
+
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.dist.startswith(("dirichlet:", "gaussian:")):
@@ -236,14 +244,24 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _method_list(text: str) -> list[str]:
-    names = text.split(",")
+def _known_methods(names: list[str]) -> list[str]:
+    # Checked when the flag is parsed, so the parser itself needs no eval import.
+    from .eval import METHODS
+
     unknown = [n for n in names if n not in METHODS]
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown method(s) {','.join(unknown)}; choose from {','.join(METHODS)}"
         )
     return names
+
+
+def _method_list(text: str) -> list[str]:
+    return _known_methods(text.split(","))
+
+
+def _method(text: str) -> str:
+    return _known_methods([text])[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,19 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("eval", help="run the trial harness on labeled pools")
-    p_eval.add_argument("--method", required=True, choices=list(METHODS))
+    p_eval.add_argument("--method", required=True, type=_method,
+                        help="detection method; an unknown name lists the choices")
     p_eval.add_argument("--train", required=True, help="detection-training / reference pool")
     p_eval.add_argument("--id", required=True, help="in-distribution window pool")
     p_eval.add_argument("--shifted", required=True, help="shifted window pool")
     p_eval.add_argument("--format", choices=["raw", "softmax", "embedding"], default="raw")
     p_eval.add_argument("--header", action="store_true")
     p_eval.add_argument("--kappa", choices=["sr", "entropy", "raw"], default="raw")
-    p_eval.add_argument("--window-sizes", type=_int_list, default=list(DEFAULT_WINDOW_SIZES))
-    p_eval.add_argument("--trials", type=int, default=TrialPlan.n_trials)
-    p_eval.add_argument("--seed", type=int, default=TrialPlan.seed)
-    p_eval.add_argument("--delta", type=float, default=detector_mod.DEFAULT_DELTA)
-    p_eval.add_argument("--coverages", type=int, default=detector_mod.DEFAULT_C_TARGET_COUNT)
-    p_eval.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
+    # Unset flags take covshift.eval's defaults, filled in by cmd_eval.
+    p_eval.add_argument("--window-sizes", type=_int_list)
+    p_eval.add_argument("--trials", type=int)
+    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--delta", type=float)
+    p_eval.add_argument("--coverages", type=int)
+    p_eval.add_argument("--permutations", type=int)
     p_eval.add_argument("--out", required=True, help="metrics CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -293,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         type=_method_list,
         default=["ours", "ks"],
-        help=f"comma-separated subset of {','.join(METHODS)}",
+        help="comma-separated method names, as for eval --method",
     )
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True)

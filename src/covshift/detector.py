@@ -266,7 +266,7 @@ def load_model(path: str) -> DetectorModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: model file must hold a JSON object")

@@ -9,6 +9,7 @@ confidence-rate function.
 from __future__ import annotations
 
 import enum
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn
@@ -105,12 +106,16 @@ def _count_lines(fh) -> int:
     return count if last == "\n" else count + 1
 
 
-def _data_lines(fh, first_line: int) -> list[str]:
-    fh.seek(0)
-    lines = fh.read().split("\n")
+def _data_lines(path: str, first_line: int) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines[first_line - 1:]
+
+
+# File name suffixes that np.loadtxt, given a path, decompresses.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
@@ -121,39 +126,53 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     first data row so callers can report errors against original line
     numbers. Rows must all have the same width; a single trailing newline
     is tolerated. Cells take Python's float() syntax without digit-group
-    underscores or non-ASCII digits, since np.loadtxt parses them. The
-    file is parsed from the open handle, so memory beyond the matrix stays
-    bounded; its text is read into lines only to name a faulty row.
+    underscores or non-ASCII digits, since np.loadtxt parses them.
+
+    The file must be UTF-8 text: a counting pass decodes it in chunks
+    first, so a file that does not open or decode fails with its name
+    before parsing. np.loadtxt then reads the file by its absolute path,
+    which it never takes for a URL, in chunks with its C parser, so memory
+    beyond the matrix stays bounded. Names ending in a suffix np.loadtxt
+    would decompress by are refused. The text is read into lines only to
+    name a faulty row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        n_lines = _count_lines(fh)
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        raise ValueError(
+            f"{path}: file names ending in {', '.join(_COMPRESSED_SUFFIXES)} are not "
+            "read; give the decompressed text file"
+        )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            n_lines = _count_lines(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    if n_lines == 0:
+        raise ValueError(f"{path}: line 1: empty file")
+    first_line = 1
+    if header:
+        n_lines -= 1
+        first_line = 2
         if n_lines == 0:
-            raise ValueError(f"{path}: line 1: empty file")
-        first_line = 1
-        if header:
-            n_lines -= 1
-            first_line = 2
-            if n_lines == 0:
-                raise ValueError(f"{path}: line 2: no data rows")
-        fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # An input of blank lines only warns "no data"; the row count
-                # check below reports it instead.
-                warnings.simplefilter("ignore", UserWarning)
-                matrix = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    comments=None,
-                    ndmin=2,
-                    dtype=np.float64,
-                    skiprows=first_line - 1,
-                )
-        except ValueError as exc:
-            _raise_first_bad_row(path, _data_lines(fh, first_line), first_line, exc)
-        # loadtxt skips blank lines, so a short matrix means the file has one.
-        if matrix.shape[0] != n_lines:
-            _raise_first_bad_row(path, _data_lines(fh, first_line), first_line, None)
+            raise ValueError(f"{path}: line 2: no data rows")
+    try:
+        with warnings.catch_warnings():
+            # An input of blank lines only warns "no data"; the row count
+            # check below reports it instead.
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(
+                os.path.abspath(path),
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                dtype=np.float64,
+                skiprows=first_line - 1,
+                encoding="utf-8",
+            )
+    except ValueError as exc:
+        _raise_first_bad_row(path, _data_lines(path, first_line), first_line, exc)
+    # loadtxt skips blank lines, so a short matrix means the file has one.
+    if matrix.shape[0] != n_lines:
+        _raise_first_bad_row(path, _data_lines(path, first_line), first_line, None)
     bad = ~np.isfinite(matrix)
     if bad.any():
         lineno = first_line + int(np.argwhere(bad)[0][0])

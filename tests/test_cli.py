@@ -9,7 +9,7 @@ import pytest
 import covshift
 from covshift.cli import main
 from covshift.detector import load_model
-from covshift.eval import BetaDist, gen_scores
+from covshift.eval import METHODS, BetaDist, gen_scores
 
 
 def write_scores(path, values):
@@ -78,6 +78,14 @@ class TestFit:
         assert rc == 1
         assert "m must be >= 2" in capsys.readouterr().err
 
+    def test_non_utf8_scores_named(self, tmp_path, capsys):
+        scores = tmp_path / "scores.bin"
+        scores.write_bytes(b"\x1f\x8b\x08\x00")
+        rc = main(["fit", "--scores", str(scores), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {scores}: not UTF-8 text: ")
+        assert not (tmp_path / "m.json").exists()
+
     def test_prints_coverage_table(self, tmp_path, train_file, capsys):
         out = tmp_path / "m.json"
         main(["fit", "--scores", str(train_file), "--out", str(out)])
@@ -131,6 +139,15 @@ class TestDetect:
         rc = main(["detect", "--model", str(model_file), "--window", str(window)])
         assert rc == 1
 
+    def test_non_utf8_model_named(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"\x1f\x8b\x08\x00")
+        window = tmp_path / "window.txt"
+        write_scores(window, [0.5, 0.6])
+        rc = main(["detect", "--model", str(model), "--window", str(window)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: not a valid model file: ")
+
     def test_missing_model_errors(self, tmp_path, capsys):
         window = tmp_path / "window.txt"
         write_scores(window, [0.5, 0.6])
@@ -173,6 +190,22 @@ class TestEval:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_unset_flags_take_the_documented_defaults(self, tmp_path, train_file):
+        id_path, sh_path = tmp_path / "id.txt", tmp_path / "shifted.txt"
+        write_scores(id_path, gen_scores(BetaDist(5, 1), 2000, seed=52).scores)
+        write_scores(sh_path, gen_scores(BetaDist(2, 2), 2000, seed=53).scores)
+        pools = ["--train", str(train_file), "--id", str(id_path), "--shifted", str(sh_path)]
+        explicit = ["--window-sizes", "10,20,50,100,200,500,1000", "--trials", "15",
+                    "--seed", "0", "--delta", "0.01", "--coverages", "10",
+                    "--permutations", "100"]
+        outs = []
+        for name, flags in (("unset.csv", []), ("explicit.csv", explicit)):
+            out = tmp_path / name
+            assert main(["eval", "--method", "ours", *pools, *flags, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].decode().strip().split("\n")) == 1 + 7
 
     def test_raw_pool_with_two_columns_rejected(self, tmp_path, train_file, capsys):
         id_path, sh_path = self._pools(tmp_path)
@@ -255,6 +288,15 @@ class TestUsage:
         rc = main(["eval", "--method", "psi", "--train", "x", "--id", "y",
                    "--shifted", "z", "--out", "w"])
         assert rc == 1
+        assert len(METHODS) == 5
+        assert f"unknown method(s) psi; choose from {','.join(METHODS)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["bench", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['covshift', *argv[:-1]])}")
 
     def test_missing_required_flag_exits_one(self, capsys):
         rc = main(["fit", "--out", "model.json"])

@@ -347,6 +347,13 @@ class TestModelSerialization:
         save_model(manual_model(pairs), str(path))
         assert path.read_text(encoding="utf-8") == FORMAT_1_TWO_PAIRS
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\x1f\x8b\x08\x00")
+        match = f"^{path}: not a valid model file: 'utf-8' codec can't decode byte 0x8b"
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(str(path))
+
     def test_future_version_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         save_model(small_model, str(path))

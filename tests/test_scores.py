@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covshift.baselines import VectorKind, VectorSample
+from covshift.baselines import VectorKind, VectorSample, load_vectors
 from covshift.scores import (
     ConfidenceFunction,
     ScoreSample,
@@ -300,3 +300,113 @@ class TestReadCsvMatrix:
         path.write_text("0.9\n0.5\n")
         sample = load_scores(str(path), "raw_scores", header=True)
         assert sample.scores.tolist() == [0.9, 0.5]
+
+
+def _loadtxt_line_by_line(path, skiprows: int) -> np.ndarray:
+    # np.loadtxt over an open handle feeds its parser one line at a time;
+    # given a path it reads the file in chunks. Both must parse alike.
+    with open(path, "r", encoding="utf-8") as fh:
+        return np.loadtxt(
+            fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64, skiprows=skiprows
+        )
+
+
+def _read_error(path, header: bool = False) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        read_csv_matrix(path, header=header)
+    return str(excinfo.value)
+
+
+class TestReaderByPath:
+    """read_csv_matrix hands np.loadtxt the absolute path of the file."""
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"0.5,1e-3\n0.25,7\n",
+            b"0.5,1e-3\r\n0.25,7\r\n",
+            b"0.5,1e-3\r0.25,7\r",
+            b"0.5,1e-3\n0.25,7",
+            b"  0.5 , 1e-3\n\t0.25,\t7  \n",
+            "\ufeffp0,p1\n0.5,1e-3\n0.25,7\n".encode(),
+        ],
+        ids=["lf", "crlf", "lone-cr", "no-final-newline", "padded", "bom"],
+    )
+    def test_same_array_as_line_by_line(self, tmp_path, text, header):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        if text.startswith("\ufeff".encode()) and not header:
+            # The BOM stays part of the first cell, as float() sees it.
+            assert _read_error(str(path)) == f"{path}: line 1: cannot parse row '\\ufeffp0,p1'"
+            return
+        matrix, first_line = read_csv_matrix(str(path), header=header)
+        expected = _loadtxt_line_by_line(path, int(header))
+        assert first_line == 1 + header
+        assert matrix.dtype == expected.dtype == np.float64
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b"0.5,1\n\n0.25,7\n", 2),
+            (b"0.5,1\r\n\r\n0.25,7\r\n", 2),
+            (b"0.5,1\r\r0.25,7\r", 2),
+            (b"0.5,1\n0.25,7\n \t\n", 3),
+            (b"0.5,1\r\n0.25,7\r\n\r\n", 3),
+        ],
+    )
+    def test_blank_line_named(self, tmp_path, text, line):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(text)
+        assert _read_error(str(path)) == f"{path}: line {line}: empty row"
+        assert _read_error(str(path), header=True) == f"{path}: line {line}: empty row"
+
+    def test_space_in_name_and_relative_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "my scores.csv"
+        path.write_bytes(b"0.5,1e-3\n0.25,7\n")
+        expected = _loadtxt_line_by_line(path, 0).tobytes()
+        assert read_csv_matrix(str(path))[0].tobytes() == expected
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "bad.csv").write_text("0.5\nx\n")
+        monkeypatch.chdir(tmp_path)
+        assert read_csv_matrix("my scores.csv")[0].tobytes() == expected
+        # Errors name the path as the caller gave it.
+        assert _read_error("sub/bad.csv") == "sub/bad.csv: line 2: cannot parse row 'x'"
+
+    def test_url_like_relative_path_read_from_disk(self, tmp_path, monkeypatch):
+        # The file f in the local directories "http:" and "localhost". Given
+        # this path as is, np.loadtxt would try to fetch it as a URL.
+        path = tmp_path / "http:" / "localhost" / "f"
+        path.parent.mkdir(parents=True)
+        path.write_text("0.5\n0.25\n")
+        monkeypatch.chdir(tmp_path)
+        matrix, _ = read_csv_matrix("http://localhost/f")
+        assert matrix[:, 0].tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_refused(self, tmp_path, suffix):
+        # np.loadtxt would decompress such a file by its name; a plain text
+        # file named so would fail with a codec error that names no file.
+        path = tmp_path / f"scores.txt{suffix}"
+        path.write_text("0.5\n0.25\n")
+        message = (
+            f"{path}: file names ending in .gz, .bz2, .xz, .lzma are not read; "
+            "give the decompressed text file"
+        )
+        assert _read_error(str(path)) == message
+        with pytest.raises(ValueError) as excinfo:
+            load_scores(str(path), "raw_scores")
+        assert str(excinfo.value) == message
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        path.write_bytes(b"0.5\n\x1f\x8b\x08\n")
+        match = f"^{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0x8b"
+        with pytest.raises(ValueError, match=match):
+            read_csv_matrix(str(path))
+        with pytest.raises(ValueError, match=match):
+            load_scores(str(path), "raw_scores")
+        with pytest.raises(ValueError, match=match):
+            load_vectors(str(path), VectorKind.EMBEDDING)
