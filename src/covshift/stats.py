@@ -296,13 +296,26 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Pairwise squared Euclidean distances, clipped at 0 against rounding.
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(y * y, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
+# Each entry |a|^2 + |b|^2 - 2 a.b of _sq_distances is at most 4 times the
+# largest squared row norm in magnitude (Cauchy-Schwarz), so squared norms
+# up to an eighth of the float64 maximum keep every entry finite, with a
+# factor 2 to spare for rounding.
+_MAX_SQ_NORM = float(np.finfo(np.float64).max) / 8.0
+
+
+def _sq_distances(pooled: np.ndarray) -> np.ndarray:
+    # Squared Euclidean distances between every pair of rows, clipped at
+    # 0 against rounding. A NaN, infinite or huge row would give NaN or
+    # inf entries, and so a NaN statistic and a meaningless p-value; the
+    # squared norms reveal those rows without a pass over the n x n result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(pooled * pooled, axis=1)
+    if not norms.max() <= _MAX_SQ_NORM:
+        raise ValueError(
+            "permutation_test_mmd requires finite rows with squared norms "
+            f"<= {_MAX_SQ_NORM:.3g}; larger ones overflow the squared distances"
+        )
+    sq = norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -322,17 +335,35 @@ def median_heuristic_bandwidth(sq: np.ndarray) -> float:
     distances of all unordered pairs (self-pairs excluded). A zero median
     falls back to the smallest positive distance; all-identical points
     are an error.
+
+    The strict upper triangle of sq is gathered once and partitioned in
+    place at its middle rank; only the one or two middle values are
+    square-rooted and averaged as (lo + hi) / 2. sqrt is monotone and
+    correctly rounded, so the k-th smallest distance is the sqrt of the
+    k-th smallest squared distance, and the result is the same float as
+    np.median over the square-rooted pairs. Likewise the fallback is the
+    sqrt of the smallest positive squared distance.
     """
+    sq = np.asarray(sq, dtype=np.float64)
+    if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
+        raise ValueError(f"median heuristic requires a square matrix, got shape {sq.shape}")
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic requires a pooled sample of size >= 2")
-    dists = np.sqrt(sq[np.triu_indices(n, k=1)])
-    med = float(np.median(dists))
+    r = np.arange(n)
+    pairs = sq[r[:, None] < r]
+    # One partition index: numpy selects a single rank much faster than
+    # several. For an even count the lower middle value is then the
+    # largest of the lower half.
+    half = pairs.size // 2
+    pairs.partition(half)
+    hi = math.sqrt(pairs[half])
+    med = hi if pairs.size % 2 else (math.sqrt(pairs[:half].max()) + hi) / 2
     if med == 0.0:
-        positive = dists[dists > 0]
+        positive = pairs[pairs > 0.0]
         if positive.size == 0:
             raise ValueError("median heuristic undefined: all points identical")
-        med = float(positive.min())
+        med = math.sqrt(positive.min())
     return math.sqrt(med / 2.0)
 
 
@@ -351,7 +382,9 @@ def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult
     partition (for m == n, also with the groups swapped) has the observed
     statistic in exact arithmetic and counts as >= observed, whatever the
     rounding. Each permutation comes from its own substream, so the
-    result is independent of evaluation order.
+    result is independent of evaluation order. Rows that are not finite,
+    or so large that their squared distances would overflow, are a
+    ValueError.
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -366,7 +399,7 @@ def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult
     pooled = np.vstack([xm, ym])
     m, n = xm.shape[0], ym.shape[0]
     total = m + n
-    sq = _sq_distances(pooled, pooled)
+    sq = _sq_distances(pooled)
     bandwidth = median_heuristic_bandwidth(sq)
     kernel = _rbf_in_place(sq, bandwidth)
 
@@ -421,11 +454,24 @@ class WelchMoments(NamedTuple):
 
 
 def welch_moments(a) -> WelchMoments:
-    """The reference side of t_test_two_sample_welch, computed once."""
+    """The reference side of t_test_two_sample_welch, computed once.
+
+    a is a 1-D sample of n >= 2 values. mean = sum / n and var =
+    sum((a - mean)^2) / (n - 1), each sum one np.add.reduce: the same
+    operations in the same order as np.mean and np.var(ddof=1), whose
+    Python wrappers cost more than the arithmetic on small windows, so
+    both are bit-identical to them.
+    """
     xs = np.asarray(a, dtype=np.float64)
-    if xs.size < 2:
+    if xs.ndim != 1:
+        raise ValueError(f"t_test_two_sample_welch requires 1-D samples, got shape {xs.shape}")
+    n = xs.size
+    if n < 2:
         raise ValueError("t_test_two_sample_welch requires n >= 2 per sample")
-    return WelchMoments(float(xs.mean()), float(xs.var(ddof=1)), int(xs.size))
+    mean = np.add.reduce(xs) / n
+    dev = xs - mean
+    var = np.add.reduce(dev * dev) / (n - 1)
+    return WelchMoments(float(mean), float(var), n)
 
 
 def t_test_welch_against(ref: WelchMoments, b) -> TestResult:

@@ -9,9 +9,11 @@ substreams), one pass per coverage pair for the detector's violation
 terms, hand ECDF enumeration for KS, the Welch t-test computed from
 both raw samples in one function (sharing only the t CDF), and a count
 over every positive/negative pair for AUROC. They must stay independent
-of the implementations they check. The one exception is
-bisection_bound, the plain bisection the bracketed solver replays: it
-shares binomial_cdf on purpose, so that the two must agree bit for bit.
+of the implementations they check. The exceptions must agree bit for
+bit with the code they check: bisection_bound, the plain bisection the
+bracketed solver replays, shares binomial_cdf on purpose, and
+median_bandwidth_triu and welch_moments_numpy are the numpy expressions
+that the selected bandwidth and the reduced Welch moments replaced.
 """
 
 import math
@@ -121,6 +123,29 @@ def median_bandwidth_loop(x, y) -> float:
             raise ValueError("median heuristic undefined: all points identical")
         med = min(positive)
     return math.sqrt(med / 2.0)
+
+
+def median_bandwidth_triu(sq) -> float:
+    """Median-heuristic bandwidth from a squared-distance matrix, via np.median.
+
+    sqrt of every pair above the diagonal, np.median of them (the
+    smallest positive distance if that is 0), and sigma = sqrt(m / 2).
+    """
+    n = sq.shape[0]
+    dists = np.sqrt(sq[np.triu_indices(n, 1)])
+    med = float(np.median(dists))
+    if med == 0.0:
+        positive = dists[dists > 0]
+        if positive.size == 0:
+            raise ValueError("median heuristic undefined: all points identical")
+        med = float(positive.min())
+    return math.sqrt(med / 2.0)
+
+
+def welch_moments_numpy(xs):
+    """(mean, unbiased variance) of a 1-D sample through np.mean and np.var."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return float(xs.mean()), float(xs.var(ddof=1))
 
 
 def auroc_pair_count(scores, positives) -> float:

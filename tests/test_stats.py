@@ -23,9 +23,11 @@ from covshift.stats import (
 from oracles import (
     ks_statistic_enumerated,
     median_bandwidth_loop,
+    median_bandwidth_triu,
     mmd2_double_loop,
     mmd_permutation_loop,
     welch_from_samples,
+    welch_moments_numpy,
 )
 
 
@@ -249,6 +251,39 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="identical"):
             median_heuristic_bandwidth(pooled_sq([[1.0], [1.0]], [[1.0]]))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (5,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            median_heuristic_bandwidth(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [1010, 1100])
+    def test_selection_equals_np_median_at_eval_sizes(self, n):
+        # The pooled sizes of an eval mmd window (1000 reference rows plus
+        # k = 10 or 100) give an odd (509545) and an even (604450) pair
+        # count, so both the one- and the two-value median are covered.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            pooled = rng.dirichlet(np.ones(10), n)
+            for rows in (pooled, np.round(pooled, 1)):
+                sq = stats_module._sq_distances(rows)
+                assert median_heuristic_bandwidth(sq) == median_bandwidth_triu(sq)
+
+    def test_selection_equals_np_median_on_ties(self):
+        rng = np.random.default_rng(15)
+        fallbacks = 0
+        for _ in range(400):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+            rows = np.round(rng.standard_normal((n, d)) / rng.uniform(0.5, 4.0))
+            sq = stats_module._sq_distances(rows)
+            dists = np.sqrt(sq[np.triu_indices(n, 1)])
+            if not dists.any():
+                with pytest.raises(ValueError, match="identical"):
+                    median_heuristic_bandwidth(sq)
+                continue
+            fallbacks += np.median(dists) == 0.0
+            assert median_heuristic_bandwidth(sq) == median_bandwidth_triu(sq)
+        assert fallbacks >= 10
+
 
 class TestPermutationMmd:
     def test_identical_samples_not_rejected(self):
@@ -328,6 +363,22 @@ class TestPermutationMmd:
             r = permutation_test_mmd(x, y, n_permutations=5, seed=call)
             assert len(returned) == call
             assert returned[-1] == r.detail["bandwidth"]
+
+    def test_overflowing_rows_rejected(self):
+        # Squared distances of these rows overflow to inf and inf - inf;
+        # the statistic would be NaN and p a meaningless 1/21.
+        with pytest.raises(ValueError, match="squared norms"):
+            permutation_test_mmd([[1e200], [2e200], [3.0]], [[1.0], [2.0]], n_permutations=20)
+        for bad in (math.nan, math.inf, 1e154):
+            with pytest.raises(ValueError, match="squared norms"):
+                permutation_test_mmd([[0.0, 1.0], [bad, 2.0]], [[1.0, 0.0], [2.0, 2.0]],
+                                     n_permutations=5)
+
+    def test_large_finite_rows_accepted(self):
+        r = permutation_test_mmd([[1e150], [2e150]], [[3e150], [-1e150]], n_permutations=5)
+        assert math.isfinite(r.statistic)
+        sigma = median_bandwidth_loop([[1e150], [2e150]], [[3e150], [-1e150]])
+        assert r.detail["bandwidth"] == pytest.approx(sigma, rel=1e-12)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 3), (3, 2)])
     def test_reproduced_split_always_counted(self, m, n):
@@ -418,6 +469,25 @@ class TestTTests:
             assert dict(fitted.detail) == dict(direct.detail)
         assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 2.0)).p_value == 1.0
         assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 1.0)).p_value == 0.0
+
+    @pytest.mark.parametrize("n", [2, 10, 100, 100_000])
+    def test_welch_moments_equal_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for offset in (0.0, 1e8, -3.5):
+            for _ in range(20 if n < 100_000 else 2):
+                xs = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4) + offset
+                for sample in (xs, np.round(xs, 2)):
+                    moments = welch_moments(sample)
+                    assert (moments.mean, moments.var) == welch_moments_numpy(sample)
+                    assert moments.n == n
+
+    def test_welch_moments_require_one_dimension(self):
+        with pytest.raises(ValueError, match="1-D"):
+            welch_moments(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            t_test_two_sample_welch(np.ones(4), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            welch_moments(2.0)
 
     def test_welch_moments_undersized(self):
         with pytest.raises(ValueError):
