@@ -122,15 +122,15 @@ def _check_dims(ref_dim: int, window_dim: int) -> None:
         raise ValueError(f"dimension mismatch: reference d={ref_dim}, window d={window_dim}")
 
 
-def detect_ks(ref: VectorSample, window: VectorSample, alpha: float) -> TestResult:
+def detect_ks(ref: VectorSample, window: VectorSample) -> TestResult:
     """Per-dimension KS tests aggregated with a Bonferroni correction.
 
-    Rejects when the minimal per-dimension p-value is below alpha / d,
-    i.e. when the aggregate p-value min(1, d * min_p) is below alpha.
+    The p-value is min(1, d * min_p), min_p being the smallest of the d
+    per-dimension p-values.
     """
     _check_dims(ref.dim, window.dim)
     return _bonferroni(
-        [ks_two_sample(ref.vectors[:, j], window.vectors[:, j]) for j in range(ref.dim)], alpha
+        [ks_two_sample(ref.vectors[:, j], window.vectors[:, j]) for j in range(ref.dim)]
     )
 
 
@@ -146,39 +146,30 @@ def sort_columns(ref: VectorSample) -> np.ndarray:
     return columns
 
 
-def detect_ks_sorted(columns: np.ndarray, window: VectorSample, alpha: float) -> TestResult:
+def detect_ks_sorted(columns: np.ndarray, window: VectorSample) -> TestResult:
     """detect_ks against the reference columns from sort_columns(ref), bit for bit."""
     _check_dims(columns.shape[0], window.dim)
     return _bonferroni(
-        [ks_against_sorted(column, window.vectors[:, j]) for j, column in enumerate(columns)],
-        alpha,
+        [ks_against_sorted(column, window.vectors[:, j]) for j, column in enumerate(columns)]
     )
 
 
-def _bonferroni(results: list[TestResult], alpha: float) -> TestResult:
+def _bonferroni(results: list[TestResult]) -> TestResult:
     d = len(results)
     statistics = np.array([r.statistic for r in results])
     p_values = np.array([r.p_value for r in results])
     argmin_dim = int(np.argmin(p_values))
     min_p = float(p_values[argmin_dim])
-    aggregate_p = min(1.0, d * min_p)
     return TestResult(
         statistic=float(statistics.max()),
-        p_value=aggregate_p,
-        detail={
-            "dimensions": d,
-            "argmin_dimension": argmin_dim,
-            "min_p": min_p,
-            "reject": min_p < alpha / d,
-            "alpha": alpha,
-        },
+        p_value=min(1.0, d * min_p),
+        detail={"dimensions": d, "argmin_dimension": argmin_dim, "min_p": min_p},
     )
 
 
 def detect_mmd(
     ref: VectorSample,
     window: VectorSample,
-    alpha: float,
     n_permutations: int,
     seed: int = 0,
 ) -> TestResult:
@@ -192,23 +183,18 @@ def detect_mmd(
     inner = permutation_test_mmd(
         ref_rows, window.vectors, n_permutations=n_permutations, seed=seed
     )
-    detail = dict(inner.detail)
-    detail.update(
-        {
-            "ref_rows_used": int(ref_rows.shape[0]),
-            "ref_cap": MMD_REF_CAP_DEFAULT,
-            "capped": capped,
-            "reject": inner.p_value < alpha,
-            "alpha": alpha,
-        }
-    )
+    detail = {
+        **inner.detail,
+        "ref_rows_used": int(ref_rows.shape[0]),
+        "ref_cap": MMD_REF_CAP_DEFAULT,
+        "capped": capped,
+    }
     return TestResult(inner.statistic, inner.p_value, detail)
 
 
 def detect_single_instance(
     ref_scores: ScoreSample,
     window_scores: ScoreSample,
-    alpha: float,
     estimator: SingleInstanceEstimator,
 ) -> TestResult:
     """Welch two-sample t-test between reference and window score populations.
@@ -224,6 +210,5 @@ def detect_single_instance(
         )
     estimator.check_kappa(ref_scores.kappa_name)
     inner = t_test_two_sample_welch(ref_scores.scores, window_scores.scores)
-    detail = dict(inner.detail)
-    detail.update({"estimator": estimator.value, "reject": inner.p_value < alpha, "alpha": alpha})
+    detail = {**inner.detail, "estimator": estimator.value}
     return TestResult(inner.statistic, inner.p_value, detail)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stats import incomplete_beta
+from .stats import _log_beta_front, incomplete_beta
 
 __all__ = ["BoundQuery", "BoundResult", "binomial_cdf", "solve_bound"]
 
@@ -205,12 +205,9 @@ def _bracket(q: BoundQuery, limit: float) -> tuple[float, float]:
 
 
 def _cdf_slope(s: int, m: int, b: float) -> float:
-    # -d/db BinomialCDF(s; m, b) = m * pmf(s; m - 1, b).
-    log_pmf = (
-        math.lgamma(m) - math.lgamma(s + 1) - math.lgamma(m - s)
-        + s * math.log(b) + (m - 1 - s) * math.log1p(-b)
-    )
-    return m * math.exp(log_pmf)
+    # -d/db BinomialCDF(s; m, b) = m * pmf(s; m - 1, b), which is the beta
+    # front b^(s+1) (1-b)^(m-s) / B(s + 1, m - s) over b (1 - b).
+    return math.exp(_log_beta_front(s + 1, m - s, b, 1.0 - b)) / (b * (1.0 - b))
 
 
 def _normal_start(s: int, m: int, delta: float) -> float:

@@ -201,6 +201,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes]
     if sizes != sorted(sizes):
         raise ValueError(f"--sizes must be ascending, got {sizes}")
+    if args.window_size < 2:
+        raise ValueError(f"--window-size must be >= 2, got {args.window_size}")
     lines = [BENCH_CSV_HEADER]
     for method in args.methods:
         for m in sizes:
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--window", required=True)
     p_detect.add_argument("--format", choices=["raw", "softmax"], default="raw")
     p_detect.add_argument("--header", action="store_true")
-    p_detect.add_argument("--alpha", type=float, default=0.05)
+    p_detect.add_argument("--alpha", type=float, default=detector_mod.DEFAULT_ALPHA)
     p_detect.add_argument("--report", help="optional JSON report path")
     p_detect.set_defaults(func=cmd_detect)
 

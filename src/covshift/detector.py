@@ -22,13 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scores import ScoreSample
+from .scores import ConfidenceFunction, ScoreSample
 from .sgc import CoverageBound, SgcConfig, run_sgc
 from .stats import student_t_cdf
 
 __all__ = [
     "FORMAT_VERSION",
     "DEFAULT_DELTA",
+    "DEFAULT_ALPHA",
     "DEFAULT_C_TARGET_COUNT",
     "ModelFormatError",
     "DetectorModel",
@@ -45,10 +46,13 @@ __all__ = [
 FORMAT_VERSION = 1
 
 DEFAULT_DELTA = 0.01
+DEFAULT_ALPHA = 0.05
 DEFAULT_C_TARGET_COUNT = 10
 
 _COVERAGE_GRID_LO = 0.1
 _COVERAGE_GRID_HI = 1.0
+
+_KAPPA_NAMES = tuple(cf.value for cf in ConfidenceFunction)
 
 
 class ModelFormatError(ValueError):
@@ -74,6 +78,10 @@ class DetectorModel:
             raise ValueError(f"c_targets must be strictly increasing, got {targets}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.kappa_name not in _KAPPA_NAMES:
+            raise ValueError(
+                f"kappa_name must be one of {', '.join(_KAPPA_NAMES)}, got {self.kappa_name!r}"
+            )
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
 

@@ -24,7 +24,14 @@ from .baselines import (
     detect_single_instance,
     sort_columns,
 )
-from .detector import DEFAULT_C_TARGET_COUNT, DEFAULT_DELTA, DetectorModel, detect, fit
+from .detector import (
+    DEFAULT_ALPHA,
+    DEFAULT_C_TARGET_COUNT,
+    DEFAULT_DELTA,
+    DetectorModel,
+    detect,
+    fit,
+)
 from .scores import ScoreSample
 from .stats import WelchMoments, make_rng, substream, t_test_welch_against, welch_moments
 
@@ -58,10 +65,6 @@ __all__ = [
 DEFAULT_WINDOW_SIZES = (10, 20, 50, 100, 200, 500, 1000)
 DEFAULT_PERMUTATIONS = 100
 
-# The detectors take a significance level, which sets only their verdict
-# fields; the adaptors return p-values, so no level reaches eval's output.
-_ALPHA = 0.05
-
 
 @dataclass(frozen=True)
 class LabeledPValues:
@@ -91,7 +94,7 @@ class TrialPlan:
 
     window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
     n_trials: int = 15
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -354,7 +357,7 @@ class CoverageDetectorMethod:
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
         sample = ScoreSample(scores=window, kappa_name=self.model.kappa_name)
-        return detect(self.model, sample, _ALPHA).p_value
+        return detect(self.model, sample, DEFAULT_ALPHA).p_value
 
 
 @dataclass
@@ -374,7 +377,7 @@ class KsMethod:
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
         sample = VectorSample(window, kind=self.ref.kind)
-        return detect_ks_sorted(self.columns, sample, _ALPHA).p_value
+        return detect_ks_sorted(self.columns, sample).p_value
 
 
 @dataclass
@@ -384,13 +387,8 @@ class MmdMethod:
     n_permutations: int = DEFAULT_PERMUTATIONS
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
-        return detect_mmd(
-            self.ref,
-            VectorSample(window, kind=self.ref.kind),
-            _ALPHA,
-            n_permutations=self.n_permutations,
-            seed=seed,
-        ).p_value
+        sample = VectorSample(window, kind=self.ref.kind)
+        return detect_mmd(self.ref, sample, self.n_permutations, seed).p_value
 
 
 @dataclass
@@ -448,13 +446,13 @@ class MethodSpec(NamedTuple):
 
 
 def _ks_one_shot(ref: VectorSample, window: np.ndarray) -> float:
-    return detect_ks(ref, VectorSample(window, kind=ref.kind), _ALPHA).p_value
+    return detect_ks(ref, VectorSample(window, kind=ref.kind)).p_value
 
 
 def _single_one_shot(estimator: SingleInstanceEstimator):
     def p_value(ref: ScoreSample, window: np.ndarray) -> float:
         sample = ScoreSample(scores=window, kappa_name=ref.kappa_name)
-        return detect_single_instance(ref, sample, _ALPHA, estimator).p_value
+        return detect_single_instance(ref, sample, estimator).p_value
 
     return p_value
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn
@@ -135,12 +136,18 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     beyond the matrix stays bounded. Names ending in a suffix np.loadtxt
     would decompress by are refused. The text is read into lines only to
     name a faulty row.
+
+    The file is read more than once, so the path must name a regular
+    file: a pipe, FIFO or device (``/dev/stdin``, a shell's ``<(...)``) is
+    refused before it is opened. A missing file raises FileNotFoundError.
     """
     if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
         raise ValueError(
             f"{path}: file names ending in {', '.join(_COMPRESSED_SUFFIXES)} are not "
             "read; give the decompressed text file"
         )
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file (pipes and devices cannot be read)")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             n_lines = _count_lines(fh)

@@ -97,7 +97,6 @@ class TestDetectKs:
         wrapped = detect_ks(
             VectorSample(a[:, None], VectorKind.EMBEDDING),
             VectorSample(b[:, None], VectorKind.EMBEDDING),
-            alpha=0.05,
         )
         assert wrapped.statistic == direct.statistic
         assert wrapped.p_value == pytest.approx(min(1.0, direct.p_value), abs=1e-15)
@@ -107,7 +106,6 @@ class TestDetectKs:
         r = detect_ks(
             VectorSample(rows, VectorKind.EMBEDDING),
             VectorSample(rows[:30], VectorKind.EMBEDDING),
-            alpha=0.05,
         )
         assert r.p_value == 1.0
 
@@ -119,9 +117,7 @@ class TestDetectKs:
             r = detect_ks(
                 VectorSample(ref, VectorKind.EMBEDDING),
                 VectorSample(win, VectorKind.EMBEDDING),
-                alpha=0.05,
             )
-            assert r.detail["reject"]
             assert r.detail["argmin_dimension"] == 3
             assert r.p_value < 0.05
 
@@ -131,13 +127,11 @@ class TestDetectKs:
         base = detect_ks(
             VectorSample(ref, VectorKind.EMBEDDING),
             VectorSample(win, VectorKind.EMBEDDING),
-            alpha=0.05,
         )
         perm = [2, 0, 3, 1]
         permuted = detect_ks(
             VectorSample(ref[:, perm], VectorKind.EMBEDDING),
             VectorSample(win[:, perm], VectorKind.EMBEDDING),
-            alpha=0.05,
         )
         assert permuted.p_value == base.p_value
         assert permuted.statistic == base.statistic
@@ -147,7 +141,6 @@ class TestDetectKs:
             detect_ks(
                 VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING),
                 VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING),
-                alpha=0.05,
             )
 
 
@@ -166,8 +159,8 @@ class TestDetectKsSorted:
                 win = rng.standard_normal((k, d)) + rng.uniform(-0.5, 0.5)
             ref_sample = VectorSample(ref, VectorKind.EMBEDDING)
             window = VectorSample(win, VectorKind.EMBEDDING)
-            fitted = detect_ks_sorted(sort_columns(ref_sample), window, alpha=0.05)
-            direct = detect_ks(ref_sample, window, alpha=0.05)
+            fitted = detect_ks_sorted(sort_columns(ref_sample), window)
+            direct = detect_ks(ref_sample, window)
             assert (fitted.statistic, fitted.p_value) == (direct.statistic, direct.p_value)
             assert dict(fitted.detail) == dict(direct.detail)
 
@@ -182,18 +175,17 @@ class TestDetectKsSorted:
 
     def test_dimension_mismatch(self):
         ref = VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING)
+        window = VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING)
         with pytest.raises(ValueError, match="dimension"):
-            detect_ks_sorted(
-                sort_columns(ref), VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING), 0.05
-            )
+            detect_ks_sorted(sort_columns(ref), window)
 
 
 class TestDetectMmd:
     def test_reference_cap_seeded_and_recorded(self):
         ref = VectorSample(substream(30, 0).standard_normal((5000, 2)), VectorKind.EMBEDDING)
         win = VectorSample(substream(31, 0).standard_normal((40, 2)), VectorKind.EMBEDDING)
-        a = detect_mmd(ref, win, alpha=0.05, n_permutations=20, seed=5)
-        b = detect_mmd(ref, win, alpha=0.05, n_permutations=20, seed=5)
+        a = detect_mmd(ref, win, n_permutations=20, seed=5)
+        b = detect_mmd(ref, win, n_permutations=20, seed=5)
         assert a.detail["ref_rows_used"] == 1000
         assert a.detail["capped"] is True
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
@@ -203,7 +195,7 @@ class TestDetectMmd:
         win = VectorSample(
             substream(33, 0).standard_normal((60, 2)) + 40.0, VectorKind.EMBEDDING
         )
-        r = detect_mmd(ref, win, alpha=0.05, n_permutations=100, seed=0)
+        r = detect_mmd(ref, win, n_permutations=100, seed=0)
         assert r.p_value == pytest.approx(1.0 / 101.0)
 
     def test_null_rejection_rate_near_alpha(self):
@@ -211,8 +203,8 @@ class TestDetectMmd:
         for seed in range(20):
             ref = VectorSample(substream(34, seed).standard_normal((100, 2)), VectorKind.EMBEDDING)
             win = VectorSample(substream(35, seed).standard_normal((50, 2)), VectorKind.EMBEDDING)
-            r = detect_mmd(ref, win, alpha=0.05, n_permutations=100, seed=seed)
-            rejections += r.detail["reject"]
+            r = detect_mmd(ref, win, n_permutations=100, seed=seed)
+            rejections += r.p_value < 0.05
         assert rejections <= 3
 
 
@@ -220,31 +212,31 @@ class TestDetectSingleInstance:
     def test_shifted_scores_detected(self):
         ref = ScoreSample(substream(40, 0).standard_normal(1000))
         win = ScoreSample(substream(41, 0).standard_normal(100) - 0.3)
-        r = detect_single_instance(ref, win, alpha=0.05, estimator=SingleInstanceEstimator.SR)
+        r = detect_single_instance(ref, win, estimator=SingleInstanceEstimator.SR)
         assert r.p_value < 0.01
 
     def test_identical_constant_scores_p_one(self):
         ref = ScoreSample(np.full(10, 0.7))
         win = ScoreSample(np.full(5, 0.7))
-        r = detect_single_instance(ref, win, alpha=0.05, estimator=SingleInstanceEstimator.ENTROPY)
+        r = detect_single_instance(ref, win, estimator=SingleInstanceEstimator.ENTROPY)
         assert r.p_value == 1.0
 
     def test_kappa_label_mismatch_rejected(self):
         ref = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
         win = ScoreSample([0.1, 0.2], kappa_name="one_minus_entropy")
         with pytest.raises(ValueError, match="mismatch"):
-            detect_single_instance(ref, win, 0.05, SingleInstanceEstimator.SR)
+            detect_single_instance(ref, win, SingleInstanceEstimator.SR)
 
     def test_estimator_label_mismatch_rejected(self):
         ref = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
         win = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
         with pytest.raises(ValueError, match="mismatch"):
-            detect_single_instance(ref, win, 0.05, SingleInstanceEstimator.ENTROPY)
+            detect_single_instance(ref, win, SingleInstanceEstimator.ENTROPY)
 
     def test_raw_passthrough_accepted(self):
         ref = ScoreSample(substream(42, 0).random(50))
         win = ScoreSample(substream(43, 0).random(50))
-        r = detect_single_instance(ref, win, 0.05, SingleInstanceEstimator.SR)
+        r = detect_single_instance(ref, win, SingleInstanceEstimator.SR)
         assert 0.0 <= r.p_value <= 1.0
 
     def test_null_calibration_quick(self):
@@ -254,6 +246,6 @@ class TestDetectSingleInstance:
             rng = substream(44, i)
             ref = ScoreSample(rng.standard_normal(500))
             win = ScoreSample(rng.standard_normal(50))
-            r = detect_single_instance(ref, win, 0.05, SingleInstanceEstimator.ENTROPY)
-            rejections += r.detail["reject"]
+            r = detect_single_instance(ref, win, SingleInstanceEstimator.ENTROPY)
+            rejections += r.p_value < 0.05
         assert rejections / n_trials <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / n_trials)

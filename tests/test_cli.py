@@ -16,6 +16,15 @@ def write_scores(path, values):
     path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
 
 
+def run_cli(args, **kwargs):
+    # covshift as its own process, importing this checkout's package.
+    src = os.path.dirname(os.path.dirname(covshift.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "covshift", *args],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 @pytest.fixture()
 def train_file(tmp_path):
     path = tmp_path / "train.txt"
@@ -86,6 +95,21 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"error: {scores}: not UTF-8 text: ")
         assert not (tmp_path / "m.json").exists()
 
+    def test_piped_scores_refused(self, tmp_path, train_file):
+        # The reader needs a regular file; a pipe or FIFO is refused by name
+        # before it is opened, so the FIFO below, which has no writer,
+        # cannot block the command.
+        out = tmp_path / "m.json"
+        fifo = tmp_path / "scores.fifo"
+        os.mkfifo(fifo)
+        for path, stdin in [(str(fifo), None), ("/dev/stdin", train_file.read_text())]:
+            proc = run_cli(["fit", "--scores", path, "--out", str(out)], input=stdin, timeout=30)
+            assert proc.returncode == 1
+            assert proc.stderr == (
+                f"error: {path}: not a regular file (pipes and devices cannot be read)\n"
+            )
+        assert not out.exists()
+
     def test_prints_coverage_table(self, tmp_path, train_file, capsys):
         out = tmp_path / "m.json"
         main(["fit", "--scores", str(train_file), "--out", str(out)])
@@ -147,6 +171,28 @@ class TestDetect:
         rc = main(["detect", "--model", str(model), "--window", str(window)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: not a valid model file: ")
+
+    @pytest.mark.parametrize("alpha", ["1.0", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_rejected(self, tmp_path, model_file, alpha, capsys):
+        window = tmp_path / "window.txt"
+        write_scores(window, [0.5, 0.6])
+        for model in (model_file, tmp_path / "absent.json"):
+            rc = main(["detect", "--model", str(model), "--window", str(window),
+                       "--alpha", alpha])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: --alpha must lie in [0, 1), got {alpha}\n"
+
+    def test_unknown_kappa_in_model_names_file(self, tmp_path, model_file, capsys):
+        payload = json.loads(model_file.read_text())
+        payload["kappa_name"] = "foo"
+        model_file.write_text(json.dumps(payload))
+        window = tmp_path / "window.txt"
+        write_scores(window, [0.5, 0.6])
+        rc = main(["detect", "--model", str(model_file), "--window", str(window)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_file}: malformed model file: kappa_name must be")
+        assert "'foo'" in err
 
     def test_missing_model_errors(self, tmp_path, capsys):
         window = tmp_path / "window.txt"
@@ -277,6 +323,17 @@ class TestBench:
         assert "bogus" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["1", "0", "-3"])
+    def test_window_size_below_two_rejected_before_any_work(self, tmp_path, k, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--sizes", "1000", "--window-size", k, "--methods", "ks,ours",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --window-size must be >= 2, got {k}\n"
+        assert not out.exists()
+
     def test_unsorted_sizes_rejected(self, tmp_path, capsys):
         rc = main(["bench", "--sizes", "2000,1000", "--out", str(tmp_path / "b.csv")])
         assert rc == 1
@@ -307,10 +364,6 @@ class TestUsage:
         assert rc == 1
 
     def test_python_dash_m_runs_cli(self):
-        src = os.path.dirname(os.path.dirname(covshift.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "covshift", "--help"],
-                              capture_output=True, text=True, env=env)
+        proc = run_cli(["--help"])
         assert proc.returncode == 0
         assert "usage: covshift" in proc.stdout

@@ -121,6 +121,11 @@ class TestFit:
         fit(sample, delta=0.01, c_target_count=10)
         assert len(calls) == 1
 
+    def test_unknown_kappa_label_rejected(self):
+        sample = ScoreSample(substream(6, 0).random(200), kappa_name="foo")
+        with pytest.raises(ValueError, match="kappa_name must be one of .*, got 'foo'"):
+            fit(sample, c_target_count=2)
+
     def test_c_target_range_enforced(self):
         bad = CoverageBound(
             c_target=1.0, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5
@@ -449,6 +454,14 @@ class TestModelSerialization:
         # float() and str() would load "0.01" as 0.01, true as 1.0 and null as "None"
         path = self._tampered(small_model, tmp_path, edit)
         with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("kappa", ["foo", "sr", ""])
+    def test_unknown_kappa_label_rejected(self, small_model, tmp_path, kappa):
+        # Only the three confidence function values name a model's scores;
+        # an alias such as "sr" is a CLI spelling, not a label.
+        path = self._tampered(small_model, tmp_path, lambda p: p.update(kappa_name=kappa))
+        with pytest.raises(ModelFormatError, match=f"^{path}: malformed model file: kappa_name"):
             load_model(path)
 
     def test_integer_reals_load_as_floats(self, small_model, tmp_path):

@@ -302,7 +302,7 @@ class TestFittedAdaptors:
             method = KsMethod(ref)
             for k in (2, 10, 57, 200):
                 window = ref.vectors[rng.integers(0, 500, k)] + rng.integers(0, 2, (k, d))
-                expected = detect_ks(ref, VectorSample(window, VectorKind.EMBEDDING), 0.05).p_value
+                expected = detect_ks(ref, VectorSample(window, VectorKind.EMBEDDING)).p_value
                 assert method.p_value(window, seed=0) == expected
 
     def test_ks_build_leaves_shared_reference_alone(self):
@@ -324,7 +324,7 @@ class TestFittedAdaptors:
             method = SingleInstanceMethod(ref, SingleInstanceEstimator.SR)
             for window in windows:
                 sample = ScoreSample(window, kappa_name="softmax_response")
-                expected = detect_single_instance(ref, sample, 0.05, SingleInstanceEstimator.SR)
+                expected = detect_single_instance(ref, sample, SingleInstanceEstimator.SR)
                 assert method.p_value(window, seed=0) == expected.p_value
 
     def test_single_instance_label_mismatch_rejected_when_built(self):

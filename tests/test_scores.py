@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -317,6 +319,24 @@ def _read_error(path, header: bool = False) -> str:
     return str(excinfo.value)
 
 
+def _error_within(call, seconds: float = 10.0) -> str:
+    # Runs call in a thread, so a reader that blocks opening a FIFO with
+    # no writer fails the test instead of hanging the suite.
+    errors = []
+
+    def run():
+        try:
+            call()
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "reader blocked on the FIFO"
+    return errors[0]
+
+
 class TestReaderByPath:
     """read_csv_matrix hands np.loadtxt the absolute path of the file."""
 
@@ -399,6 +419,18 @@ class TestReaderByPath:
         with pytest.raises(ValueError) as excinfo:
             load_scores(str(path), "raw_scores")
         assert str(excinfo.value) == message
+
+    def test_fifo_refused_before_opening(self, tmp_path):
+        # A pipe would be used up by the counting pass before np.loadtxt read it.
+        fifo = tmp_path / "scores.fifo"
+        os.mkfifo(fifo)
+        message = f"{fifo}: not a regular file (pipes and devices cannot be read)"
+        assert _error_within(lambda: load_scores(str(fifo), "raw_scores")) == message
+        assert _error_within(lambda: load_vectors(str(fifo), VectorKind.EMBEDDING)) == message
+
+    def test_missing_file_keeps_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_scores(str(tmp_path / "absent.txt"), "raw_scores")
 
     def test_non_utf8_file_named(self, tmp_path):
         path = tmp_path / "scores.bin"
