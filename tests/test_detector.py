@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import covshift.bounds as bounds
 from covshift.detector import (
     DEFAULT_C_TARGET_COUNT,
     DEFAULT_DELTA,
@@ -20,6 +21,7 @@ from covshift.detector import (
     save_model,
     write_atomic,
 )
+from covshift.eval import BetaDist, gen_scores
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
 from covshift.stats import student_t_cdf, substream
@@ -132,6 +134,61 @@ class TestFit:
         )
         with pytest.raises(ValueError, match="0.1"):
             manual_model([bad])
+
+
+# float.hex of (b_star, theta, empirical_coverage_at_fit) for each coverage
+# of fit(gen_scores(BetaDist(5, 1), m, seed=3), delta=0.01, c_target_count=10).
+# At m = 500 every bound solve sums the pmf; at m = 20 000 the bulk of them go
+# through the incomplete beta.
+PINNED_FITS = {
+    500: [
+        ("0x1.9925f9c400000p-4", "0x1.f3a9f30d32ea6p-1", "0x1.22d0e56041893p-3"),
+        ("0x1.8499701200000p-3", "0x1.e78b56926efb3p-1", "0x1.f3b645a1cac08p-3"),
+        ("0x1.1d3adc1f00000p-2", "0x1.da2ccb0124497p-1", "0x1.5c28f5c28f5c3p-2"),
+        ("0x1.79383ced00000p-2", "0x1.cb01efe7d84c9p-1", "0x1.bc6a7ef9db22dp-2"),
+        ("0x1.d7bf5cbb00000p-2", "0x1.bab909fb5e7a5p-1", "0x1.0e5604189374cp-1"),
+        ("0x1.1a4a326600000p-1", "0x1.a851184c1220dp-1", "0x1.3c6a7ef9db22dp-1"),
+        ("0x1.47cc40fe80000p-1", "0x1.99ad10f01a044p-1", "0x1.6872b020c49bap-1"),
+        ("0x1.76ae41ef80000p-1", "0x1.777c483db2b09p-1", "0x1.947ae147ae148p-1"),
+        ("0x1.a2e24e2400000p-1", "0x1.57d15548881c1p-1", "0x1.bc6a7ef9db22dp-1"),
+        ("0x1.d21eaabc00000p-1", "0x1.22d35185ae051p-1", "0x1.e45a1cac08312p-1"),
+    ],
+    20_000: [
+        ("0x1.99a0b98c00000p-4", "0x1.f4d0312ae13f9p-1", "0x1.b5a858793dd98p-4"),
+        ("0x1.8512a97a00000p-3", "0x1.ea4b1b992cf6fp-1", "0x1.9758e219652bdp-3"),
+        ("0x1.1eb95f9300000p-2", "0x1.deafdbef786fap-1", "0x1.292a305532618p-2"),
+        ("0x1.7ad480cd00000p-2", "0x1.d14a78eb83f33p-1", "0x1.860aa64c2f838p-2"),
+        ("0x1.d700100500000p-2", "0x1.c29a8ad272876p-1", "0x1.e28f5c28f5c29p-2"),
+        ("0x1.1999044a80000p-1", "0x1.b220c1aac0224p-1", "0x1.1f5c28f5c28f6p-1"),
+        ("0x1.47a854a500000p-1", "0x1.9eeb799fbdcf0p-1", "0x1.4d35a858793dep-1"),
+        ("0x1.75c0fc4780000p-1", "0x1.87162ea2034e2p-1", "0x1.7ae147ae147aep-1"),
+        ("0x1.a3d177fd00000p-1", "0x1.686b04a972e59p-1", "0x1.a83e425aee632p-1"),
+        ("0x1.d1eafcb100000p-1", "0x1.38f9a18f16672p-1", "0x1.d532617c1bda5p-1"),
+    ],
+}
+
+
+class TestPinnedFit:
+    @pytest.mark.parametrize("m", sorted(PINNED_FITS))
+    def test_fitted_floats_are_pinned(self, m, monkeypatch):
+        beta_calls = 0
+        real_incomplete_beta = bounds.incomplete_beta
+
+        def counting(*args):
+            nonlocal beta_calls
+            beta_calls += 1
+            return real_incomplete_beta(*args)
+
+        monkeypatch.setattr(bounds, "incomplete_beta", counting)
+        bounds.solve_bound.cache_clear()
+        model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
+        bounds.solve_bound.cache_clear()
+        got = [
+            (p.b_star.hex(), p.theta.hex(), p.empirical_coverage_at_fit.hex())
+            for p in model.pairs
+        ]
+        assert got == PINNED_FITS[m]
+        assert (beta_calls > 0) == (m > 1000)
 
 
 class TestViolationTerms:
