@@ -10,7 +10,7 @@ benchmark behind one CLI.
 
 from importlib import import_module
 
-from .bounds import BoundQuery, BoundResult, binomial_cdf, solve_bound
+from .bounds import binomial_cdf, solve_bound
 from .detector import (
     DetectionReport,
     DetectorModel,
@@ -21,7 +21,7 @@ from .detector import (
     save_model,
 )
 from .scores import ConfidenceFunction, ScoreSample, load_scores
-from .sgc import CoverageBound, SgcConfig, run_sgc
+from .sgc import CoverageBound, run_sgc
 from .stats import (
     TestResult,
     incomplete_beta,
@@ -78,8 +78,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BoundQuery",
-    "BoundResult",
     "ConfidenceFunction",
     "CoverageBound",
     "DetectionReport",
@@ -87,7 +85,6 @@ __all__ = [
     "LabeledPValues",
     "ModelFormatError",
     "ScoreSample",
-    "SgcConfig",
     "SingleInstanceEstimator",
     "TestResult",
     "TrialPlan",

@@ -18,14 +18,13 @@ very large sample sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .stats import _log_beta_front, incomplete_beta
 
-__all__ = ["BoundQuery", "BoundResult", "binomial_cdf", "solve_bound"]
+__all__ = ["binomial_cdf", "solve_bound"]
 
 BISECTION_TOL = 1e-10
 
@@ -33,43 +32,21 @@ BISECTION_TOL = 1e-10
 _TAIL_SUM_MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Inputs to the bound solver: sample size, success count, confidence."""
-
-    m: int
-    successes: int
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.successes <= self.m:
-            raise ValueError(
-                f"successes must lie in [0, {self.m}], got {self.successes}"
-            )
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """Solved bound. satisfiable is False only for successes == m."""
-
-    b_star: float
-    satisfiable: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.b_star <= 1.0:
-            raise ValueError(f"b_star {self.b_star} outside [0, 1]")
-
-
-def binomial_cdf(x: int, m: int, b: float) -> float:
-    """P(X <= x) for X ~ Binomial(m, b)."""
+def _check_counts(m, x, x_name: str) -> None:
+    # m >= 1 trials and x in [0, m] successes, each a Python or numpy
+    # integer: bools and integral floats name no binomial and are refused.
+    for name, value in (("m", m), (x_name, x)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= x <= m:
-        raise ValueError(f"x must lie in [0, {m}], got {x}")
+        raise ValueError(f"{x_name} must lie in [0, {m}], got {x}")
+
+
+def binomial_cdf(x: int, m: int, b: float) -> float:
+    """P(X <= x) for X ~ Binomial(m, b); x and m must be integers."""
+    _check_counts(m, x, "x")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
     if x == m or b == 0.0:
@@ -106,19 +83,23 @@ def _lower_tail_sum(m: int, x: int, b: float) -> float:
     return float(np.exp(log_terms).sum())
 
 
-@lru_cache(maxsize=200_000)
-def solve_bound(q: BoundQuery) -> BoundResult:
+@lru_cache(maxsize=200_000, typed=True)
+def solve_bound(m: int, successes: int, delta: float) -> float:
     """Minimal b with BinomialCDF(successes; m, b) <= 1 - delta.
 
-    Cached on the query, which is frozen and so hashes by its fields.
+    m and successes must be integers with m >= 1 and 0 <= successes <= m,
+    and 0 < delta < 1. For successes == m the CDF is identically 1, so no
+    b meets the constraint; the result is then the exact Clopper-Pearson
+    lower bound for a full-success sample, delta ** (1 / m). Cached on the
+    arguments and their types, so 10.0 is checked rather than served as 10.
     """
-    if q.successes == q.m:
-        # CDF is identically 1, so the constraint is unsatisfiable; fall
-        # back to the exact Clopper-Pearson lower bound for a full-success
-        # sample and flag it.
-        return BoundResult(b_star=q.delta ** (1.0 / q.m), satisfiable=False)
-    limit = 1.0 - q.delta
-    infeasible, feasible = _bracket(q, limit)
+    _check_counts(m, successes, "successes")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if successes == m:
+        return delta ** (1.0 / m)
+    limit = 1.0 - delta
+    infeasible, feasible = _bracket(successes, m, delta, limit)
     lo, hi = 0.0, 1.0
     # cdf(lo)=1 > limit (infeasible), cdf(hi)=0 <= limit (feasible); bisect
     # until the bracket is narrower than the tolerance. A mid outside the
@@ -128,12 +109,12 @@ def solve_bound(q: BoundQuery) -> BoundResult:
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid >= feasible or (
-            mid > infeasible and binomial_cdf(q.successes, q.m, mid) <= limit
+            mid > infeasible and binomial_cdf(successes, m, mid) <= limit
         ):
             hi = mid
         else:
             lo = mid
-    return BoundResult(b_star=hi, satisfiable=True)
+    return hi
 
 
 # The bisection halves [0, 1] until it is no wider than BISECTION_TOL, so
@@ -144,7 +125,7 @@ _PROBE_STEP = 1.0 / (64.0 * _GRID)
 _BRACKET_EVALS = 10
 
 
-def _bracket(q: BoundQuery, limit: float) -> tuple[float, float]:
+def _bracket(s: int, m: int, delta: float, limit: float) -> tuple[float, float]:
     """(infeasible, feasible): evaluated points on either side of the root.
 
     Safeguarded Newton on cdf(b) = limit from a normal-approximation start,
@@ -156,9 +137,8 @@ def _bracket(q: BoundQuery, limit: float) -> tuple[float, float]:
     slope, a target outside the bracket, or no faster than bisection), and
     returns (0, 1) if nothing narrowed it.
     """
-    s, m = q.successes, q.m
     lo, hi = 0.0, 1.0
-    b = _normal_start(s, m, q.delta)
+    b = _normal_start(s, m, delta)
     last_step = 0.0
     target = math.log(limit / (1.0 - limit))
     # binomial_cdf falls with b only up to rounding: over random queries up
@@ -166,7 +146,7 @@ def _bracket(q: BoundQuery, limit: float) -> tuple[float, float]:
     # to 7e-12 of the tail mass on the continued fraction. A bracket end
     # clears the limit by ten times that or more, so that every mid beyond
     # it evaluates to the same side.
-    margin = 4096.0 * math.ulp(limit) + 1e-10 * min(q.delta, limit)
+    margin = 4096.0 * math.ulp(limit) + 1e-10 * min(delta, limit)
     for _ in range(_BRACKET_EVALS):
         if not lo < b < hi:
             break

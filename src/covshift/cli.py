@@ -198,7 +198,9 @@ def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes]
+    sizes = args.sizes
+    if min(sizes) < 2:
+        raise ValueError(f"--sizes must all be >= 2, got {sizes}")
     if sizes != sorted(sizes):
         raise ValueError(f"--sizes must be ascending, got {sizes}")
     if args.window_size < 2:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scores import ConfidenceFunction, ScoreSample
-from .sgc import CoverageBound, SgcConfig, run_sgc
+from .sgc import CoverageBound, run_sgc
 from .stats import student_t_cdf
 
 __all__ = [
@@ -124,10 +124,7 @@ def fit(
     share one sort of the sample.
     """
     sorted_scores = np.sort(sample.scores)
-    pairs = tuple(
-        run_sgc(sorted_scores, SgcConfig(delta=delta, target_coverage=c))
-        for c in coverage_grid(c_target_count)
-    )
+    pairs = tuple(run_sgc(sorted_scores, delta, c) for c in coverage_grid(c_target_count))
     return DetectorModel(pairs=pairs, delta=delta, kappa_name=sample.kappa_name, m=len(sample))
 
 

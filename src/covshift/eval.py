@@ -9,6 +9,7 @@ image-space shifts at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple, Protocol, Union
 
@@ -187,12 +188,19 @@ def detection_error_and_fpr_at_95tpr(data: LabeledPValues) -> ErrorAtTpr:
 # Synthetic generators
 # ---------------------------------------------------------------------------
 
+def _require_finite(name: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(str, values))}")
+
+
 @dataclass(frozen=True)
 class BetaDist:
     a: float
     b: float
 
     def __post_init__(self) -> None:
+        _require_finite("beta parameter a", self.a)
+        _require_finite("beta parameter b", self.b)
         if not (self.a > 0 and self.b > 0):
             raise ValueError(f"beta parameters must be > 0, got a={self.a}, b={self.b}")
 
@@ -210,6 +218,7 @@ class MixtureDist:
         if not self.components:
             raise ValueError("mixture needs at least one component")
         weights = [w for w, _ in self.components]
+        _require_finite("mixture weights", *weights)
         if any(w <= 0 for w in weights):
             raise ValueError(f"mixture weights must be > 0, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -224,6 +233,7 @@ class DirichletDist:
     alpha: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite("dirichlet concentrations", *self.alpha)
         if len(self.alpha) < 2 or any(a <= 0 for a in self.alpha):
             raise ValueError(f"dirichlet needs >= 2 positive concentrations, got {self.alpha}")
 
@@ -235,6 +245,8 @@ class GaussianDist:
     dim: int
 
     def __post_init__(self) -> None:
+        _require_finite("gaussian mu", self.mu)
+        _require_finite("gaussian sigma", self.sigma)
         if self.sigma <= 0 or self.dim < 1:
             raise ValueError(
                 f"gaussian needs sigma > 0 and dim >= 1, got sigma={self.sigma}, dim={self.dim}"

@@ -14,31 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundQuery, solve_bound
+from .bounds import solve_bound
 
 __all__ = [
-    "SgcConfig",
     "CoverageBound",
     "SgcIteration",
     "iter_sgc",
     "run_sgc",
 ]
-
-
-@dataclass(frozen=True)
-class SgcConfig:
-    """Confidence parameter and target coverage for one SGC run."""
-
-    delta: float
-    target_coverage: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.target_coverage <= 1.0:
-            raise ValueError(
-                f"target_coverage must lie in (0, 1], got {self.target_coverage}"
-            )
 
 
 @dataclass(frozen=True)
@@ -74,8 +57,10 @@ class SgcIteration(NamedTuple):
     b_star: float
 
 
-def iter_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> list[SgcIteration]:
-    """Run SGC and return the full binary-search trace.
+def iter_sgc(
+    sorted_scores: np.ndarray, delta: float, target_coverage: float
+) -> list[SgcIteration]:
+    """Run SGC at confidence delta and return the full binary-search trace.
 
     sorted_scores must be ascending (np.sort of a sample's scores), so that
     one sort serves every target coverage of a fit; z is the 1-based index
@@ -83,11 +68,15 @@ def iter_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> list[SgcIteration]:
     target (b* <= c*) the search moves toward higher coverage (z_max = z),
     otherwise toward lower coverage (z_min = z).
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < target_coverage <= 1.0:
+        raise ValueError(f"target_coverage must lie in (0, 1], got {target_coverage}")
     m = sorted_scores.size
     if m < 2:
         raise ValueError(f"SGC requires a sample of size >= 2, got m={m}")
     k = math.ceil(math.log2(m))
-    per_iteration_delta = cfg.delta / k
+    per_iteration_delta = delta / k
 
     trace: list[SgcIteration] = []
     z_min, z_max = 1, m
@@ -97,21 +86,21 @@ def iter_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> list[SgcIteration]:
         # Scores >= theta, ties at theta included.
         successes = m - int(np.searchsorted(sorted_scores, theta, side="left"))
         c_hat = successes / m
-        result = solve_bound(BoundQuery(m=m, successes=successes, delta=per_iteration_delta))
-        trace.append(SgcIteration(i, z_min, z_max, z, theta, c_hat, result.b_star))
-        if result.b_star <= cfg.target_coverage:
+        b_star = solve_bound(m, successes, per_iteration_delta)
+        trace.append(SgcIteration(i, z_min, z_max, z, theta, c_hat, b_star))
+        if b_star <= target_coverage:
             z_max = z
         else:
             z_min = z
     return trace
 
 
-def run_sgc(sorted_scores: np.ndarray, cfg: SgcConfig) -> CoverageBound:
+def run_sgc(sorted_scores: np.ndarray, delta: float, target_coverage: float) -> CoverageBound:
     """Fit one coverage bound on ascending scores; returns the final iteration's pair."""
-    trace = iter_sgc(sorted_scores, cfg)
+    trace = iter_sgc(sorted_scores, delta, target_coverage)
     last = trace[-1]
     return CoverageBound(
-        c_target=cfg.target_coverage,
+        c_target=target_coverage,
         b_star=last.b_star,
         theta=last.theta,
         iterations=len(trace),

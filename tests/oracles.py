@@ -21,7 +21,7 @@ import statistics
 
 import numpy as np
 
-from covshift.bounds import BISECTION_TOL, BoundQuery, binomial_cdf
+from covshift.bounds import BISECTION_TOL, binomial_cdf
 from covshift.stats import student_t_cdf, substream
 
 GRID_STEP = 1e-6
@@ -74,15 +74,15 @@ def grid_scan_bound(m: int, successes: int, delta: float) -> float:
     return float(fine_idx[np.argmax(feasible)] * GRID_STEP)
 
 
-def bisection_bound(q: BoundQuery) -> float:
+def bisection_bound(m: int, successes: int, delta: float) -> float:
     """b_star by bisecting [0, 1] to BISECTION_TOL, every mid evaluated."""
-    if q.successes == q.m:
-        return q.delta ** (1.0 / q.m)
-    limit = 1.0 - q.delta
+    if successes == m:
+        return delta ** (1.0 / m)
+    limit = 1.0 - delta
     lo, hi = 0.0, 1.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if binomial_cdf(q.successes, q.m, mid) <= limit:
+        if binomial_cdf(successes, m, mid) <= limit:
             hi = mid
         else:
             lo = mid

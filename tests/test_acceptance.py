@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from covshift.bounds import BoundQuery, solve_bound
+from covshift.bounds import solve_bound
 from covshift.cli import main
 from covshift.detector import detect, fit, load_model, save_model
 from covshift.eval import LabeledPValues, aupr, auroc, detection_error_and_fpr_at_95tpr
 from covshift.scores import ScoreSample
-from covshift.sgc import SgcConfig, iter_sgc
+from covshift.sgc import iter_sgc
 from covshift.stats import (
     incomplete_beta,
     ks_two_sample,
@@ -65,15 +65,15 @@ def test_criterion_1_bound_solver_oracle_equivalence():
         for delta in (0.1, 0.01):
             for successes in range(m):
                 oracle = grid_scan_bound(m, successes, delta)
-                solved = solve_bound(BoundQuery(m, successes, delta)).b_star
+                solved = solve_bound(m, successes, delta)
                 worst = max(worst, abs(solved - oracle))
     closed_form_err = max(
-        abs(solve_bound(BoundQuery(1, 0, d)).b_star - d) for d in (0.1, 0.01, 0.05)
+        abs(solve_bound(1, 0, d) - d) for d in (0.1, 0.01, 0.05)
     )
     closed_form_err = max(
         closed_form_err,
         max(
-            abs(solve_bound(BoundQuery(2, 1, d)).b_star - math.sqrt(d))
+            abs(solve_bound(2, 1, d) - math.sqrt(d))
             for d in (0.1, 0.01, 0.05)
         ),
     )
@@ -95,7 +95,7 @@ def test_criterion_2_lemma1_monte_carlo():
     violations = 0
     for _ in range(trials):
         successes = int(rng.binomial(m, p))
-        if p < solve_bound(BoundQuery(m, successes, delta)).b_star:
+        if p < solve_bound(m, successes, delta):
             violations += 1
     freq = violations / trials
     upper = 0.05 + 3 * math.sqrt(0.05 * 0.95 / trials)
@@ -112,11 +112,10 @@ def test_criterion_2_lemma1_monte_carlo():
 def test_criterion_3_uniform_convergence_monte_carlo():
     start = time.perf_counter()
     m, delta, c_star, runs = 1000, 0.05, 0.5, 1000
-    cfg = SgcConfig(delta=delta, target_coverage=c_star)
     simultaneous = 0
     for r in range(runs):
         scores = substream(777, r).random(m)
-        trace = iter_sgc(np.sort(scores), cfg)
+        trace = iter_sgc(np.sort(scores), delta, c_star)
         # under U(0,1), the true coverage at theta is 1 - theta
         if any((1.0 - it.theta) < it.b_star for it in trace):
             simultaneous += 1

@@ -5,7 +5,7 @@ import pytest
 
 import covshift.bounds as bounds
 import covshift.sgc as sgc
-from covshift.bounds import BISECTION_TOL, BoundQuery, BoundResult, binomial_cdf, solve_bound
+from covshift.bounds import BISECTION_TOL, binomial_cdf, solve_bound
 from covshift.detector import fit
 from covshift.scores import ScoreSample
 from oracles import bisection_bound, grid_scan_bound
@@ -51,31 +51,34 @@ class TestBinomialCdf:
             binomial_cdf(2, 5, 1.5)
         with pytest.raises(ValueError):
             binomial_cdf(0, 0, 0.5)
+        # Counts that name no binomial: a fraction, an integral float, a bool.
+        for x, m in [(3.5, 10), (3, 10.0), (3.0, 10), (True, 10), (1, True)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                binomial_cdf(x, m, 0.2)
+
+    def test_numpy_integer_counts_accepted(self):
+        for x, m, b in [(3, 10, 0.2), (40, 5000, 0.01), (3000, 5000, 0.4)]:
+            assert binomial_cdf(np.int64(x), np.int32(m), b) == binomial_cdf(x, m, b)
 
 
 class TestSolveBound:
     def test_closed_form_m1(self):
         # constraint (1-b) <= 1-delta forces b* = delta
         for delta in (0.05, 0.1, 0.5):
-            r = solve_bound(BoundQuery(m=1, successes=0, delta=delta))
-            assert r.satisfiable
-            assert r.b_star == pytest.approx(delta, abs=1e-9)
+            assert solve_bound(1, 0, delta) == pytest.approx(delta, abs=1e-9)
 
     def test_closed_form_m2(self):
         # constraint 1 - b^2 <= 1-delta forces b* = sqrt(delta)
         for delta in (0.1, 0.01):
-            r = solve_bound(BoundQuery(m=2, successes=1, delta=delta))
-            assert r.b_star == pytest.approx(math.sqrt(delta), abs=1e-9)
+            assert solve_bound(2, 1, delta) == pytest.approx(math.sqrt(delta), abs=1e-9)
 
     def test_all_successes_unsatisfiable(self):
-        r = solve_bound(BoundQuery(m=4, successes=4, delta=0.05))
-        assert not r.satisfiable
-        assert r.b_star == pytest.approx(0.05 ** 0.25, abs=1e-12)
+        # no b meets the constraint; the full-success Clopper-Pearson bound
+        assert solve_bound(4, 4, 0.05) == pytest.approx(0.05 ** 0.25, abs=1e-12)
 
     def test_matches_grid_oracle_frozen_example(self):
         # grid oracle value for (m=100, successes=90, delta=0.05)
-        r = solve_bound(BoundQuery(m=100, successes=90, delta=0.05))
-        assert r.b_star == pytest.approx(0.848205, abs=2e-6)
+        assert solve_bound(100, 90, 0.05) == pytest.approx(0.848205, abs=2e-6)
         assert grid_scan_bound(100, 90, 0.05) == pytest.approx(0.848205, abs=1e-12)
 
     def test_matches_grid_oracle_small_batch(self):
@@ -84,26 +87,24 @@ class TestSolveBound:
             for delta in (0.1, 0.01):
                 for successes in range(m):
                     oracle = grid_scan_bound(m, successes, delta)
-                    r = solve_bound(BoundQuery(m, successes, delta))
-                    assert abs(r.b_star - oracle) < 2e-6, (m, successes, delta)
+                    b_star = solve_bound(m, successes, delta)
+                    assert abs(b_star - oracle) < 2e-6, (m, successes, delta)
 
     def test_monotone_in_successes_and_delta(self):
         deltas = [0.001, 0.01, 0.05, 0.1, 0.5]
         for m in (5, 20, 100):
             for delta in deltas:
-                values = [
-                    solve_bound(BoundQuery(m, s, delta)).b_star for s in range(m)
-                ]
+                values = [solve_bound(m, s, delta) for s in range(m)]
                 assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             for s in range(0, m, max(1, m // 7)):
-                by_delta = [solve_bound(BoundQuery(m, s, d)).b_star for d in deltas]
+                by_delta = [solve_bound(m, s, d) for d in deltas]
                 assert all(a <= b + 1e-12 for a, b in zip(by_delta, by_delta[1:]))
 
     def test_feasibility_bracketing(self):
         for m in (5, 20, 100):
             for delta in (0.01, 0.1):
                 for s in range(m):
-                    b = solve_bound(BoundQuery(m, s, delta)).b_star
+                    b = solve_bound(m, s, delta)
                     assert binomial_cdf(s, m, b) <= 1.0 - delta
                     if b > 1e-8:
                         assert binomial_cdf(s, m, b - 1e-8) > 1.0 - delta
@@ -111,26 +112,33 @@ class TestSolveBound:
     def test_repeated_query_returns_cached_result(self):
         # Cold-start timings empty the cache through solve_bound.cache_clear.
         solve_bound.cache_clear()
-        first = solve_bound(BoundQuery(m=50, successes=40, delta=0.05))
-        assert solve_bound(BoundQuery(m=50, successes=40, delta=0.05)) is first
+        first = solve_bound(50, 40, 0.05)
+        assert solve_bound(50, 40, 0.05) is first
         assert solve_bound.cache_info().hits == 1
 
     def test_bisection_tolerance_documented(self):
         assert BISECTION_TOL == 1e-10
 
+    def test_float_count_is_checked_after_its_integer_was_cached(self):
+        # A cache keyed without types would serve 10.0 the entry of 10.
+        solve_bound.cache_clear()
+        solve_bound(10, 3, 0.1)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            solve_bound(10.0, 3, 0.1)
+        with pytest.raises(ValueError, match="successes must be an integer"):
+            solve_bound(10, 3.0, 0.1)
+
+    def test_numpy_integer_counts_accepted(self):
+        solve_bound.cache_clear()
+        assert solve_bound(np.int64(5000), np.int64(4000), 0.01) == solve_bound(5000, 4000, 0.01)
+
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            BoundQuery(m=0, successes=0, delta=0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(m=5, successes=6, delta=0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(m=5, successes=-1, delta=0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(m=5, successes=2, delta=0.0)
-        with pytest.raises(ValueError):
-            BoundQuery(m=5, successes=2, delta=1.0)
-        with pytest.raises(ValueError):
-            BoundResult(b_star=1.5, satisfiable=True)
+        for m, successes, delta in [(0, 0, 0.1), (5, 6, 0.1), (5, -1, 0.1), (5, 2, 0.0), (5, 2, 1.0)]:
+            with pytest.raises(ValueError):
+                solve_bound(m, successes, delta)
+        for m, successes in [(10.5, 3), (10, 3.5), (True, 0), (1, False)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                solve_bound(m, successes, 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +146,9 @@ def fit_queries():
     """The 200 bound queries of a fit at m = 1e6, in the order SGC asks them."""
     queries = []
 
-    def record(q):
+    def record(*q):
         queries.append(q)
-        return solve_bound(q)
+        return solve_bound(*q)
 
     scores = np.random.default_rng(1).beta(5.0, 1.0, 1_000_000)
     with pytest.MonkeyPatch.context() as mp:
@@ -162,7 +170,7 @@ def cold_solve(q, monkeypatch):
     solve_bound.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(bounds, "binomial_cdf", counting)
-        b_star = solve_bound(q).b_star
+        b_star = solve_bound(*q)
     solve_bound.cache_clear()
     return b_star, calls
 
@@ -176,13 +184,13 @@ class TestBracketedSolve:
 
     def assert_matches_oracle(self, queries):
         solve_bound.cache_clear()
-        mismatched = [q for q in queries if solve_bound(q).b_star != bisection_bound(q)]
+        mismatched = [q for q in queries if solve_bound(*q) != bisection_bound(*q)]
         assert not mismatched, mismatched[:5]
 
     def test_every_small_sample(self):
         deltas = (0.1, 0.01, 0.01 / 20)
         self.assert_matches_oracle(
-            [BoundQuery(m, s, d) for d in deltas for m in range(1, 60) for s in range(m)]
+            [(m, s, d) for d in deltas for m in range(1, 60) for s in range(m)]
         )
 
     def test_seeded_large_samples(self):
@@ -192,7 +200,7 @@ class TestBracketedSolve:
             m = int(10 ** rng.uniform(1, 9))
             delta = float(10 ** rng.uniform(-6, -1))
             for s in {0, 1, m // 2, m - 1, int(rng.integers(0, m))}:
-                queries.append(BoundQuery(m, s, delta))
+                queries.append((m, s, delta))
         self.assert_matches_oracle(queries)
 
     def test_fit_queries(self, fit_queries):
@@ -201,7 +209,7 @@ class TestBracketedSolve:
 
     def test_degenerate_queries(self):
         queries = [
-            BoundQuery(m, s, d)
+            (m, s, d)
             for m in (1, 2, 3, 50, 1000, 10**6)
             for s in {0, m // 2, m - 1}
             for d in (1e-12, 0.01, 0.5, 0.9)
@@ -218,18 +226,18 @@ class TestBracketedSolve:
         for _ in range(500):
             m = int(rng.integers(2, 1000))
             delta = float(10 ** rng.uniform(-12, -8))
-            queries.append(BoundQuery(m, int(rng.integers(0, m)), delta))
+            queries.append((m, int(rng.integers(0, m)), delta))
         self.assert_matches_oracle(queries)
 
     @pytest.mark.parametrize("slope", [0.0, math.nan])
     def test_unusable_slope_falls_back_to_full_bisection(self, slope, monkeypatch):
-        queries = [BoundQuery(m, s, 0.01) for m, s in [(1, 0), (2, 1), (50, 25), (10**6, 900_000)]]
+        queries = [(m, s, 0.01) for m, s in [(1, 0), (2, 1), (50, 25), (10**6, 900_000)]]
         bracketed = [cold_solve(q, monkeypatch) for q in queries]
         monkeypatch.setattr(bounds, "_cdf_slope", lambda s, m, b: slope)
         fallback = [cold_solve(q, monkeypatch) for q in queries]
         # Only the start point is evaluated before the bisection takes over.
         for q, (b_star, calls), (slow_b_star, slow_calls) in zip(queries, bracketed, fallback):
-            assert slow_b_star == b_star == bisection_bound(q), q
+            assert slow_b_star == b_star == bisection_bound(*q), q
             assert slow_calls > calls, q
 
     def test_few_cdf_evaluations_per_cold_solve(self, fit_queries, monkeypatch):

@@ -66,6 +66,25 @@ class TestSimulate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("beta:inf,1", "beta parameter a must be finite, got inf"),
+            ("dirichlet:inf,1", "dirichlet concentrations must be finite, got inf, 1.0"),
+            ("dirichlet:nan,1", "dirichlet concentrations must be finite, got nan, 1.0"),
+            ("gaussian:0,nan,2", "gaussian sigma must be finite, got nan"),
+            ("gaussian:inf,1,2", "gaussian mu must be finite, got inf"),
+            ("mixture:nan*uniform", "mixture weights must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_parameter_named_before_drawing(self, tmp_path, spec, message):
+        # Its own process, so that a numpy warning would show on stderr.
+        out = tmp_path / "x.txt"
+        proc = run_cli(["simulate", "--dist", spec, "--n", "5", "--out", str(out)], timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_defaults_recorded(self, model_file):
@@ -332,6 +351,17 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --window-size must be >= 2, got {k}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["1", "0", "0,1000", "1000,1"])
+    def test_sizes_below_two_rejected_before_any_work(self, tmp_path, sizes, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--sizes", sizes, "--methods", "ks,ours", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = [int(v) for v in sizes.split(",")]
+        assert captured.err == f"error: --sizes must all be >= 2, got {expected}\n"
         assert not out.exists()
 
     def test_unsorted_sizes_rejected(self, tmp_path, capsys):

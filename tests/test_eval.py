@@ -230,6 +230,23 @@ class TestDistParsing:
             parse_score_dist("beta:0,1")
         with pytest.raises(ValueError, match="dirichlet needs >= 2 positive concentrations"):
             parse_vector_dist("dirichlet:1")
+        # A NaN or infinite parameter is named when the spec is parsed.
+        non_finite = [
+            (parse_score_dist, "beta:inf,1", "beta parameter a must be finite, got inf"),
+            (parse_score_dist, "beta:1,nan", "beta parameter b must be finite, got nan"),
+            (parse_score_dist, "mixture:nan*uniform", "mixture weights must be finite, got nan"),
+            (parse_score_dist, "mixture:0.5*beta(1,inf)+0.5*uniform",
+             "beta parameter b must be finite, got inf"),
+            (parse_vector_dist, "dirichlet:inf,1",
+             "dirichlet concentrations must be finite, got inf, 1.0"),
+            (parse_vector_dist, "dirichlet:nan,1",
+             "dirichlet concentrations must be finite, got nan, 1.0"),
+            (parse_vector_dist, "gaussian:0,nan,2", "gaussian sigma must be finite, got nan"),
+            (parse_vector_dist, "gaussian:inf,1,2", "gaussian mu must be finite, got inf"),
+        ]
+        for parse, spec, message in non_finite:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(spec)
 
 
 class TestTrialPlan:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covshift.sgc import CoverageBound, SgcConfig, iter_sgc, run_sgc
+from covshift.sgc import CoverageBound, iter_sgc, run_sgc
 from covshift.stats import substream
 
 
@@ -18,7 +18,7 @@ class TestRunSgc:
     def test_m2_hand_trace(self):
         # k=1 iteration; z = ceil(3/2) = 2, theta = 0.7, c_hat = 1/2,
         # b* = solve_bound(2, 1, 0.1) = sqrt(0.1)
-        cb = run_sgc(np.array([0.3, 0.7]), SgcConfig(delta=0.1, target_coverage=0.5))
+        cb = run_sgc(np.array([0.3, 0.7]), 0.1, 0.5)
         assert cb.iterations == 1
         assert cb.theta == 0.7
         assert cb.empirical_coverage_at_fit == 0.5
@@ -26,43 +26,42 @@ class TestRunSgc:
 
     def test_all_identical_scores_hit_full_coverage_convention(self):
         # every theta equals the tied score, c_hat = 1, successes = m
-        cb = run_sgc(np.full(4, 0.5), SgcConfig(delta=0.1, target_coverage=0.5))
+        cb = run_sgc(np.full(4, 0.5), 0.1, 0.5)
         assert cb.theta == 0.5
         assert cb.empirical_coverage_at_fit == 1.0
         assert cb.b_star == pytest.approx((0.1 / 2) ** 0.25, abs=1e-12)
 
     def test_determinism(self):
         scores = np.sort(substream(1, 0).random(257))
-        cfg = SgcConfig(delta=0.05, target_coverage=0.3)
-        a = run_sgc(scores, cfg)
-        b = run_sgc(scores, cfg)
+        a = run_sgc(scores, 0.05, 0.3)
+        b = run_sgc(scores, 0.05, 0.3)
         assert a == b
 
     def test_requires_m_at_least_two(self):
         with pytest.raises(ValueError):
-            run_sgc(np.array([0.5]), SgcConfig(delta=0.1, target_coverage=0.5))
+            run_sgc(np.array([0.5]), 0.1, 0.5)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SgcConfig(delta=0.0, target_coverage=0.5)
-        with pytest.raises(ValueError):
-            SgcConfig(delta=0.1, target_coverage=0.0)
-        with pytest.raises(ValueError):
-            SgcConfig(delta=0.1, target_coverage=1.5)
+        scores = np.array([0.3, 0.7])
+        with pytest.raises(ValueError, match="delta"):
+            run_sgc(scores, 0.0, 0.5)
+        with pytest.raises(ValueError, match="target_coverage"):
+            run_sgc(scores, 0.1, 0.0)
+        with pytest.raises(ValueError, match="target_coverage"):
+            iter_sgc(scores, 0.1, 1.5)
 
     def test_iteration_count_is_ceil_log2_m(self):
         for m in (2, 3, 4, 5, 1024, 1025):
             scores = substream(2, m).random(m)
-            cb = run_sgc(np.sort(scores), SgcConfig(delta=0.1, target_coverage=0.5))
+            cb = run_sgc(np.sort(scores), 0.1, 0.5)
             assert cb.iterations == math.ceil(math.log2(m))
 
     def test_monotone_transform_invariance(self):
-        cfg = SgcConfig(delta=0.05, target_coverage=0.4)
         for seed in range(5):
             scores = substream(3, seed).standard_normal(300)
             mapped = scores**3 + 2.0 * scores  # strictly increasing on R
-            trace_a = iter_sgc(np.sort(scores), cfg)
-            trace_b = iter_sgc(np.sort(mapped), cfg)
+            trace_a = iter_sgc(np.sort(scores), 0.05, 0.4)
+            trace_b = iter_sgc(np.sort(mapped), 0.05, 0.4)
             for ita, itb in zip(trace_a, trace_b):
                 assert ita.z == itb.z
                 assert ita.c_hat == itb.c_hat
@@ -73,7 +72,7 @@ class TestRunSgc:
     def test_search_state_invariants(self):
         for m in (2, 5, 9, 64, 100, 1000):
             scores = substream(4, m).random(m)
-            trace = iter_sgc(np.sort(scores), SgcConfig(delta=0.05, target_coverage=0.5))
+            trace = iter_sgc(np.sort(scores), 0.05, 0.5)
             for it in trace:
                 # z_min < z_max holds at the start of every iteration
                 assert 1 <= it.z_min < it.z_max <= m
@@ -83,12 +82,11 @@ class TestRunSgc:
     def test_uniform_guarantee_monte_carlo(self):
         # b* stays near the target and fresh-sample coverage at theta
         # exceeds b* in >= 99% of trials (delta = 0.01)
-        cfg = SgcConfig(delta=0.01, target_coverage=0.5)
         held = 0
         n_trials = 500
         for i in range(n_trials):
             scores = substream(555, i).random(1000)
-            cb = run_sgc(np.sort(scores), cfg)
+            cb = run_sgc(np.sort(scores), 0.01, 0.5)
             assert cb.b_star <= 0.55
             fresh = substream(556, i).random(100_000)
             if (fresh >= cb.theta).mean() > cb.b_star:
