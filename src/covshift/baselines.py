@@ -7,6 +7,8 @@ cap is the one documented exception, mirroring kernel-size limits).
 This is exactly the property the complexity benchmark (covshift bench)
 measures against.
 
+detect_ks calls stats.ks_two_sample per column, which sorts the
+reference column and then calls stats.ks_against_sorted.
 detect_ks_sorted is the fitted form of detect_ks: the eval adaptors
 (covshift.eval.KsMethod, SingleInstanceMethod) do their reference-only
 work once when built (sort_columns; stats.welch_moments) and then cost
@@ -126,7 +128,8 @@ def detect_ks(ref: VectorSample, window: VectorSample) -> TestResult:
     """Per-dimension KS tests aggregated with a Bonferroni correction.
 
     The p-value is min(1, d * min_p), min_p being the smallest of the d
-    per-dimension p-values.
+    per-dimension p-values; detail holds min_p and argmin_dimension, the
+    first dimension that has it.
     """
     _check_dims(ref.dim, window.dim)
     return _bonferroni(
@@ -155,15 +158,12 @@ def detect_ks_sorted(columns: np.ndarray, window: VectorSample) -> TestResult:
 
 
 def _bonferroni(results: list[TestResult]) -> TestResult:
-    d = len(results)
-    statistics = np.array([r.statistic for r in results])
-    p_values = np.array([r.p_value for r in results])
-    argmin_dim = int(np.argmin(p_values))
-    min_p = float(p_values[argmin_dim])
+    argmin_dim = min(range(len(results)), key=lambda j: results[j].p_value)
+    min_p = results[argmin_dim].p_value
     return TestResult(
-        statistic=float(statistics.max()),
-        p_value=min(1.0, d * min_p),
-        detail={"dimensions": d, "argmin_dimension": argmin_dim, "min_p": min_p},
+        statistic=max(r.statistic for r in results),
+        p_value=min(1.0, len(results) * min_p),
+        detail={"argmin_dimension": argmin_dim, "min_p": min_p},
     )
 
 
@@ -176,20 +176,10 @@ def detect_mmd(
     """MMD permutation test, with the reference capped by seeded subsampling."""
     _check_dims(ref.dim, window.dim)
     ref_rows = ref.vectors
-    capped = len(ref) > MMD_REF_CAP_DEFAULT
-    if capped:
+    if len(ref) > MMD_REF_CAP_DEFAULT:
         idx = substream(seed, 0).choice(len(ref), size=MMD_REF_CAP_DEFAULT, replace=False)
         ref_rows = ref.vectors[np.sort(idx)]
-    inner = permutation_test_mmd(
-        ref_rows, window.vectors, n_permutations=n_permutations, seed=seed
-    )
-    detail = {
-        **inner.detail,
-        "ref_rows_used": int(ref_rows.shape[0]),
-        "ref_cap": MMD_REF_CAP_DEFAULT,
-        "capped": capped,
-    }
-    return TestResult(inner.statistic, inner.p_value, detail)
+    return permutation_test_mmd(ref_rows, window.vectors, n_permutations=n_permutations, seed=seed)
 
 
 def detect_single_instance(
@@ -209,6 +199,4 @@ def detect_single_instance(
             f"window kappa {window_scores.kappa_name!r}"
         )
     estimator.check_kappa(ref_scores.kappa_name)
-    inner = t_test_two_sample_welch(ref_scores.scores, window_scores.scores)
-    detail = {**inner.detail, "estimator": estimator.value}
-    return TestResult(inner.statistic, inner.p_value, detail)
+    return t_test_two_sample_welch(ref_scores.scores, window_scores.scores)

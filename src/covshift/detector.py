@@ -171,7 +171,8 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
         p = 1.0 if mean <= 0.0 else 0.0
     else:
         t = mean / (sd / math.sqrt(n))
-        p = 1.0 - student_t_cdf(t, n - 1)
+        # Upper tail as the CDF at -t: 1 - cdf(t) rounds to 0 below about 1e-16.
+        p = student_t_cdf(-t, n - 1)
     checks = tuple(
         CoverageCheck(pair.c_target, pair.b_star, c, viol)
         for pair, c, viol in zip(model.pairs, c_hat.tolist(), violated.tolist())
@@ -185,6 +186,17 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
     )
 
 
+# The keys of one coverage pair in a model file, in file order, with the
+# type each value must have.
+_PAIR_KEYS = {
+    "c_target": float,
+    "b_star": float,
+    "theta": float,
+    "iterations": int,
+    "empirical_coverage_at_fit": float,
+}
+
+
 def _model_payload(model: DetectorModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -192,16 +204,7 @@ def _model_payload(model: DetectorModel) -> dict:
         "delta": model.delta,
         "c_target_count": len(model.pairs),
         "m": model.m,
-        "pairs": [
-            {
-                "c_target": p.c_target,
-                "b_star": p.b_star,
-                "theta": p.theta,
-                "iterations": p.iterations,
-                "empirical_coverage_at_fit": p.empirical_coverage_at_fit,
-            }
-            for p in model.pairs
-        ],
+        "pairs": [{key: getattr(p, key) for key in _PAIR_KEYS} for p in model.pairs],
     }
 
 
@@ -246,18 +249,18 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _json_int(value: object, name: str) -> int:
-    # A count must be an integer literal: int() would truncate 500.9 and accept true.
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
-    return value
+# A count must be an integer literal: int() would truncate 500.9 and accept
+# true. float() would also take the string "0.5" and true, so a real must be
+# a number literal.
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
 
 
-def _json_number(value: object, name: str) -> float:
-    # float() would also take the string "0.5" and true; a real must be a number literal.
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
+def _json_value(obj: dict, key: str, kind: type):
+    value = obj[key]
+    allowed, name = _JSON_TYPES[kind]
+    if type(value) not in allowed:
+        raise TypeError(f"{key} must be a JSON {name}, got {value!r}")
+    return kind(value)
 
 
 def _json_pairs(value: object) -> list:
@@ -282,28 +285,18 @@ def load_model(path: str) -> DetectorModel:
         )
     try:
         pairs = tuple(
-            CoverageBound(
-                c_target=_json_number(p["c_target"], "c_target"),
-                b_star=_json_number(p["b_star"], "b_star"),
-                theta=_json_number(p["theta"], "theta"),
-                iterations=_json_int(p["iterations"], "iterations"),
-                empirical_coverage_at_fit=_json_number(
-                    p["empirical_coverage_at_fit"], "empirical_coverage_at_fit"
-                ),
-            )
+            CoverageBound(**{key: _json_value(p, key, kind) for key, kind in _PAIR_KEYS.items()})
             for p in _json_pairs(payload["pairs"])
         )
-        count = _json_int(payload["c_target_count"], "c_target_count")
+        count = _json_value(payload, "c_target_count", int)
         if count != len(pairs):
             raise ValueError(f"expected {count} coverage pairs, got {len(pairs)}")
-        kappa_name = payload["kappa_name"]
-        if type(kappa_name) is not str:
-            raise TypeError(f"kappa_name must be a JSON string, got {kappa_name!r}")
+        kappa_name = _json_value(payload, "kappa_name", str)
         model = DetectorModel(
             pairs=pairs,
-            delta=_json_number(payload["delta"], "delta"),
+            delta=_json_value(payload, "delta", float),
             kappa_name=kappa_name,
-            m=_json_int(payload["m"], "m"),
+            m=_json_value(payload, "m", int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from None

@@ -4,7 +4,9 @@ Special functions (regularized incomplete beta, Student-t CDF), the
 two-sample KS test, the permutation test of the unbiased squared MMD, the
 Welch two-sample t-test, and seeded reproducible randomness. The KS and
 Welch tests also take a reference prepared once (sorted; its moments),
-for callers that test many windows against one reference.
+for callers that test many windows against one reference; the one-shot
+KS test sorts its reference and then calls ks_against_sorted, the one
+place that evaluates the two ECDFs.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -232,33 +234,16 @@ def _ks_p_value(z: float, n_effective: float) -> float:
     return 1.0
 
 
-def _ks_result(z: float, n_a: int, n_b: int) -> TestResult:
-    n_effective = n_a * n_b / (n_a + n_b)
-    return TestResult(
-        statistic=z,
-        p_value=_ks_p_value(z, n_effective),
-        detail={"n_a": n_a, "n_b": n_b},
-    )
-
-
 def ks_two_sample(a, b) -> TestResult:
     """Two-sample Kolmogorov-Smirnov test.
 
     The statistic is the exact supremum of the empirical-CDF difference
-    (ties handled by evaluating right-continuous ECDFs at every pooled
-    sample point); the p-value uses the asymptotic Kolmogorov distribution
-    at effective size |a||b|/(|a|+|b|). Both samples are sorted on every
-    call, the one-shot cost of the two-sample baseline.
+    (ties handled by right-continuous ECDFs); the p-value uses the
+    asymptotic Kolmogorov distribution at effective size |a||b|/(|a|+|b|).
+    a is sorted on every call, the one-shot cost of the two-sample
+    baseline, and then handed to ks_against_sorted.
     """
-    xs = np.sort(np.asarray(a, dtype=np.float64))
-    ys = np.sort(np.asarray(b, dtype=np.float64))
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("ks_two_sample requires two nonempty samples")
-    pooled = np.concatenate([xs, ys])
-    cdf_a = np.searchsorted(xs, pooled, side="right") / xs.size
-    cdf_b = np.searchsorted(ys, pooled, side="right") / ys.size
-    z = float(np.max(np.abs(cdf_a - cdf_b)))
-    return _ks_result(z, int(xs.size), int(ys.size))
+    return ks_against_sorted(np.sort(np.asarray(a, dtype=np.float64)), b)
 
 
 def ks_against_sorted(sorted_a: np.ndarray, b) -> TestResult:
@@ -268,19 +253,19 @@ def ks_against_sorted(sorted_a: np.ndarray, b) -> TestResult:
     ECDF is constant and the reference's rises, so the supremum over the
     pooled points is reached at a window point (right-continuous counts)
     or at the last reference point below one (left counts of both
-    samples). Every candidate is the same |i/|a| - j/|b|| expression that
-    ks_two_sample evaluates at some pooled point, so the statistic and
-    p-value are bit-identical to it.
+    samples). Every candidate is an |i/|a| - j/|b|| difference of the two
+    ECDFs at some pooled point.
     """
     ys = np.sort(np.asarray(b, dtype=np.float64))
-    if sorted_a.size == 0 or ys.size == 0:
+    n_a, n_b = sorted_a.size, ys.size
+    if n_a == 0 or n_b == 0:
         raise ValueError("ks_against_sorted requires two nonempty samples")
     z = 0.0
     for side in ("right", "left"):
-        cdf_a = np.searchsorted(sorted_a, ys, side=side) / sorted_a.size
-        cdf_b = np.searchsorted(ys, ys, side=side) / ys.size
+        cdf_a = np.searchsorted(sorted_a, ys, side=side) / n_a
+        cdf_b = np.searchsorted(ys, ys, side=side) / n_b
         z = max(z, float(np.max(np.abs(cdf_a - cdf_b))))
-    return _ks_result(z, int(sorted_a.size), int(ys.size))
+    return TestResult(statistic=z, p_value=_ks_p_value(z, n_a * n_b / (n_a + n_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +274,6 @@ def ks_against_sorted(sorted_a: np.ndarray, b) -> TestResult:
 
 def _as_matrix(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a sequence of equal-length vectors")
     return arr
@@ -430,15 +413,7 @@ def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult
     observed = float(mmd2[0])
     n_ge = int(np.count_nonzero((mmd2[1:] >= observed) | same_split[1:]))
     p = (1 + n_ge) / (1 + n_permutations)
-    return TestResult(
-        statistic=observed,
-        p_value=p,
-        detail={
-            "bandwidth": bandwidth,
-            "n_permutations": n_permutations,
-            "seed": seed,
-        },
-    )
+    return TestResult(statistic=observed, p_value=p, detail={"bandwidth": bandwidth})
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +469,8 @@ def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
     df = (se_x + se_y) ** 2 / (
         se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1)
     )
-    p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
-    p = min(1.0, max(0.0, p))
-    return TestResult(t, p, {"df": df})
+    # The tail is read at -|t|: 1 - cdf(|t|) rounds to 0 below about 1e-16.
+    return TestResult(t, 2.0 * student_t_cdf(-abs(t), df), {"df": df})
 
 
 def t_test_two_sample_welch(a, b) -> TestResult:

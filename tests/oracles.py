@@ -246,5 +246,5 @@ def welch_from_samples(a, b):
         return math.copysign(math.inf, mean_x - mean_y), 0.0
     t = (mean_x - mean_y) / math.sqrt(se_x + se_y)
     df = (se_x + se_y) ** 2 / (se_x**2 / (xs.size - 1) + se_y**2 / (ys.size - 1))
-    p = min(1.0, max(0.0, 2.0 * (1.0 - student_t_cdf(abs(t), df))))
+    p = 2.0 * student_t_cdf(-abs(t), df)
     return t, p

@@ -13,7 +13,7 @@ from covshift.baselines import (
     sort_columns,
 )
 from covshift.scores import ScoreSample, validate_softmax_rows
-from covshift.stats import ks_two_sample, substream
+from covshift.stats import ks_two_sample, permutation_test_mmd, substream
 
 
 def gaussian_vectors(n, d, seed, shift=0.0):
@@ -30,6 +30,11 @@ class TestVectorSample:
         VectorSample(vectors=[[0.5, 0.5], [1.0, 0.0]], kind=VectorKind.SOFTMAX)
         with pytest.raises(ValueError):
             VectorSample(vectors=[[0.5, 0.6]], kind=VectorKind.SOFTMAX)
+
+    @pytest.mark.parametrize("vectors", [[], np.zeros((0, 2)), np.zeros((3, 0)), [1.0, 2.0]])
+    def test_rejects_empty_or_not_2d(self, vectors):
+        with pytest.raises(ValueError, match="vector sample must be a nonempty 2-D array"):
+            VectorSample(vectors=vectors, kind=VectorKind.EMBEDDING)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -186,9 +191,13 @@ class TestDetectMmd:
         win = VectorSample(substream(31, 0).standard_normal((40, 2)), VectorKind.EMBEDDING)
         a = detect_mmd(ref, win, n_permutations=20, seed=5)
         b = detect_mmd(ref, win, n_permutations=20, seed=5)
-        assert a.detail["ref_rows_used"] == 1000
-        assert a.detail["capped"] is True
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+        # The reference is capped at 1000 rows drawn from the seed's substream 0.
+        rows = ref.vectors[np.sort(substream(5, 0).choice(5000, 1000, replace=False))]
+        capped = permutation_test_mmd(rows, win.vectors, n_permutations=20, seed=5)
+        assert (a.statistic, a.p_value, dict(a.detail)) == (
+            capped.statistic, capped.p_value, dict(capped.detail)
+        )
 
     def test_disjoint_clusters_hit_add_one_floor(self):
         ref = VectorSample(substream(32, 0).standard_normal((60, 2)), VectorKind.EMBEDDING)

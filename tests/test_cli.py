@@ -40,6 +40,33 @@ def model_file(tmp_path, train_file):
     return out
 
 
+@pytest.fixture(scope="module")
+def vector_pools(tmp_path_factory):
+    """Softmax (Dirichlet) and embedding (Gaussian) train, ID and shifted pools."""
+    root = tmp_path_factory.mktemp("pools")
+    specs = {
+        "softmax": ("dirichlet:10,1,1", "dirichlet:1,1,1"),
+        "embedding": ("gaussian:0,1,4", "gaussian:1,1,4"),
+    }
+    pools = {}
+    for fmt, (id_dist, shifted_dist) in specs.items():
+        paths = {}
+        for seed, (role, dist, n) in enumerate(
+            [("train", id_dist, 600), ("id", id_dist, 300), ("shifted", shifted_dist, 300)]
+        ):
+            paths[role] = root / f"{fmt}_{role}.csv"
+            rc = main(["simulate", "--dist", dist, "--n", str(n), "--seed", str(seed),
+                       "--out", str(paths[role])])
+            assert rc == 0
+        pools[fmt] = paths
+    return pools
+
+
+def pool_args(paths):
+    return ["--train", str(paths["train"]), "--id", str(paths["id"]),
+            "--shifted", str(paths["shifted"])]
+
+
 class TestSimulate:
     def test_scores_file_deterministic(self, tmp_path):
         out1 = tmp_path / "a.txt"
@@ -65,6 +92,14 @@ class TestSimulate:
                    str(tmp_path / "x.txt")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_rejected(self, tmp_path, n, capsys):
+        out = tmp_path / "x.txt"
+        rc = main(["simulate", "--dist", "uniform", "--n", n, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -128,6 +163,33 @@ class TestFit:
                 f"error: {path}: not a regular file (pipes and devices cannot be read)\n"
             )
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["0", "1", "-0.5", "nan"])
+    def test_delta_outside_unit_interval_rejected(self, tmp_path, train_file, delta, capsys):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--scores", str(train_file), "--delta", delta, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --delta must lie in (0, 1), got {float(delta)}\n"
+        )
+        assert not out.exists()
+
+    def test_softmax_scores_record_kappa(self, tmp_path, vector_pools):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--scores", str(vector_pools["softmax"]["train"]),
+                   "--format", "softmax", "--kappa", "sr", "--out", str(out)])
+        assert rc == 0
+        model = load_model(str(out))
+        assert model.kappa_name == "softmax_response"
+        assert model.m == 600
+
+    def test_softmax_csv_read_as_raw_rejected(self, tmp_path, vector_pools, capsys):
+        path = vector_pools["softmax"]["train"]
+        rc = main(["fit", "--scores", str(path), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: raw score file has 3 columns, expected 1\n"
+        )
 
     def test_prints_coverage_table(self, tmp_path, train_file, capsys):
         out = tmp_path / "m.json"
@@ -201,6 +263,17 @@ class TestDetect:
             assert rc == 1
             assert capsys.readouterr().err == f"error: --alpha must lie in [0, 1), got {alpha}\n"
 
+    def test_softmax_window_against_softmax_model(self, tmp_path, vector_pools, capsys):
+        paths = vector_pools["softmax"]
+        model = tmp_path / "m.json"
+        assert main(["fit", "--scores", str(paths["train"]), "--format", "softmax",
+                     "--kappa", "sr", "--out", str(model)]) == 0
+        capsys.readouterr()
+        rc = main(["detect", "--model", str(model), "--window", str(paths["shifted"]),
+                   "--format", "softmax"])
+        assert rc == 2
+        assert "verdict: SHIFT DETECTED" in capsys.readouterr().out
+
     def test_unknown_kappa_in_model_names_file(self, tmp_path, model_file, capsys):
         payload = json.loads(model_file.read_text())
         payload["kappa_name"] = "foo"
@@ -242,6 +315,39 @@ class TestEval:
         assert lines[0].startswith("method,window_size,auroc")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == method
+
+    @pytest.mark.parametrize("fmt", ["softmax", "embedding"])
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_vector_methods_on_vector_pools(self, tmp_path, vector_pools, method, fmt):
+        out = tmp_path / f"{method}.csv"
+        rc = main(["eval", "--method", method, "--format", fmt,
+                   *pool_args(vector_pools[fmt]), "--window-sizes", "10,20",
+                   "--trials", "3", "--permutations", "20", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 3
+        assert [line.split(",")[:2] for line in lines[1:]] == [[method, "10"], [method, "20"]]
+
+    @pytest.mark.parametrize(
+        "method, fmt, kappa, message",
+        [
+            ("ours", "embedding", "raw",
+             "method 'ours' requires score input (--format raw or softmax with --kappa)"),
+            ("single-sr", "softmax", "raw", "softmax pools need --kappa sr or --kappa entropy"),
+            ("single-ent", "softmax", "sr",
+             "estimator mismatch: scores carry kappa 'softmax_response' but estimator "
+             "'entropy' expects 'one_minus_entropy'"),
+        ],
+    )
+    def test_score_method_input_mismatch_rejected(
+        self, tmp_path, vector_pools, method, fmt, kappa, message, capsys
+    ):
+        out = tmp_path / "x.csv"
+        rc = main(["eval", "--method", method, "--format", fmt, "--kappa", kappa,
+                   *pool_args(vector_pools[fmt]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, train_file):
         id_path, sh_path = self._pools(tmp_path)

@@ -303,6 +303,47 @@ class TestDetect:
                 means, checks = violation_means_loop(model, ScoreSample(window))
                 self._assert_report_equals(report, means, checks, alpha=0.05)
 
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_upper_tail_matches_closed_form(self, df):
+        # P(T >= t) on df = 1 and 2 in closed form. The k = df + 1 terms
+        # of a window differ by multiples of 1/C, so close scores against
+        # models of up to C = 900 coverages give t in the hundreds. For
+        # k = 3, terms that all equal one b* give a sd of a few ulp from
+        # rounding their mean, so t reaches 1e15 and beyond, where
+        # 1 - cdf(t) would round to 0.
+        def upper_tail(t):
+            if df == 1:
+                return math.atan(1.0 / t) / math.pi
+            r = math.sqrt(2.0 + t * t)
+            return 1.0 / (r * (r + t))
+
+        k = df + 1
+        largest = 0.0
+        for i in range(300):
+            rng = substream(4400 + df, i)
+            if i % 3:
+                c = int(rng.integers(1, 901))
+                targets = np.linspace(0.1, 0.9, c)
+                b_stars = rng.uniform(0.7, 1.0, c)
+                thetas = rng.random(c)
+                window = rng.random() + rng.random(k) / (1 + i % 100)
+            else:
+                targets, b_stars, thetas = [0.5], [rng.random()], [0.5]
+                window = np.full(k, 0.25)
+            model = manual_model(
+                CoverageBound(float(c_target), float(b), float(theta), 1, 0.5)
+                for c_target, b, theta in zip(targets, b_stars, thetas)
+            )
+            means, _ = violation_means_loop(model, ScoreSample(window))
+            sd = float(means.std(ddof=1))
+            if sd == 0.0 or means.mean() <= 0.0:
+                continue
+            t = float(means.mean()) / (sd / math.sqrt(k))
+            largest = max(largest, t)
+            p = detect(model, ScoreSample(window), alpha=0.05).p_value
+            assert p == pytest.approx(upper_tail(t), rel=1e-12, abs=0.0), (i, t)
+        assert largest > (1e15 if df == 2 else 500.0)
+
     @staticmethod
     def _assert_report_equals(report, means, checks, alpha):
         n = means.size
@@ -311,7 +352,7 @@ class TestDetect:
         if sd == 0.0:
             p = 1.0 if mean <= 0.0 else 0.0
         else:
-            p = 1.0 - student_t_cdf(mean / (sd / math.sqrt(n)), n - 1)
+            p = student_t_cdf(-mean / (sd / math.sqrt(n)), n - 1)
         assert report.v_statistic == max(0.0, mean)
         assert report.p_value == p
         assert report.shift_detected == (p < alpha)
@@ -474,10 +515,12 @@ class TestModelSerialization:
             ("unsupported format_version", lambda p: p.update(format_version=True)),
             ("at least one coverage pair", lambda p: p.update(c_target_count=0, pairs=[])),
             ("expected 5 coverage pairs, got 10", lambda p: p.update(c_target_count=5)),
+            ("iterations must be >= 1", lambda p: p["pairs"][0].update(iterations=0)),
+            (r"b_star 1\.5 outside \[0, 1\]", lambda p: p["pairs"][3].update(b_star=1.5)),
         ],
         ids=[
             "m-fraction", "m-float", "m-string", "c_target_count", "iterations", "bool-version",
-            "zero-pairs", "count-mismatch",
+            "zero-pairs", "count-mismatch", "zero-iterations", "b_star-above-one",
         ],
     )
     def test_non_integer_count_rejected(self, small_model, tmp_path, message, edit):
@@ -544,6 +587,9 @@ class TestModelSerialization:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+        path.write_text('[{"format_version": 1}]')
+        with pytest.raises(ModelFormatError, match="model file must hold a JSON object"):
+            load_model(str(path))
 
 
 class TestWriteAtomic:
@@ -565,3 +611,21 @@ class TestWriteAtomic:
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("failing", ["replace", "fsync"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failing, existing):
+        path = tmp_path / "out.csv"
+        if existing:
+            path.write_text("old\n")
+
+        def fail(*args):
+            raise OSError(f"{failing} failed")
+
+        monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError, match=f"{failing} failed"):
+            write_atomic(str(path), "new\n")
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
