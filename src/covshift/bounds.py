@@ -13,6 +13,11 @@ returns the same float. The CDF is a pmf sum in extended precision for
 small m and for tails thin relative to m, and otherwise goes through the
 regularized incomplete beta identity, so the solver stays stable up to
 very large sample sizes.
+
+An SGC step needs only whether b* <= c. bound_at_most answers that from
+one CDF evaluation at the grid point at or below c, and solves the bound
+only when that evaluation lies within the bracket's rounding margin of
+the limit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .stats import _log_beta_front, incomplete_beta
 
-__all__ = ["binomial_cdf", "solve_bound"]
+__all__ = ["binomial_cdf", "bound_at_most", "solve_bound"]
 
 BISECTION_TOL = 1e-10
 
@@ -42,6 +47,12 @@ def _check_counts(m, x, x_name: str) -> None:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= x <= m:
         raise ValueError(f"{x_name} must lie in [0, {m}], got {x}")
+
+
+def _check_query(m, successes, delta) -> None:
+    _check_counts(m, successes, "successes")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def binomial_cdf(x: int, m: int, b: float) -> float:
@@ -93,9 +104,7 @@ def solve_bound(m: int, successes: int, delta: float) -> float:
     lower bound for a full-success sample, delta ** (1 / m). Cached on the
     arguments and their types, so 10.0 is checked rather than served as 10.
     """
-    _check_counts(m, successes, "successes")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_query(m, successes, delta)
     if successes == m:
         return delta ** (1.0 / m)
     limit = 1.0 - delta
@@ -117,12 +126,52 @@ def solve_bound(m: int, successes: int, delta: float) -> float:
     return hi
 
 
+def bound_at_most(m: int, successes: int, delta: float, c: float) -> bool:
+    """solve_bound(m, successes, delta) <= c, mostly from one CDF evaluation.
+
+    solve_bound returns a multiple of 1 / _GRID, so the answer is whether
+    its bisection ends at or below g, the largest grid point not above c.
+    A CDF at g that clears the limit by the bracket's margin decides every
+    mid on its side the way the bracket ends do: below the limit, every mid
+    >= g is feasible and the bisection ends at or below g; above it, every
+    mid <= g is infeasible and it ends above g. The bound is solved instead
+    when the CDF at g lies within the margin or fails to converge, when
+    successes == m, and when g is not inside (0, 1).
+    """
+    _check_query(m, successes, delta)
+    g = math.floor(c * _GRID) / _GRID if 0.0 < c < 1.0 else 0.0
+    if successes < m and g > 0.0:
+        limit = 1.0 - delta
+        margin = _margin(delta, limit)
+        try:
+            cdf = binomial_cdf(successes, m, g)
+        except ArithmeticError:
+            # The continued fraction can fail near the centre of a binomial
+            # with m above about 1e8, where the solve's bracket rarely looks.
+            pass
+        else:
+            if cdf < limit - margin:
+                return True
+            if cdf > limit + margin:
+                return False
+    return solve_bound(m, successes, delta) <= c
+
+
 # The bisection halves [0, 1] until it is no wider than BISECTION_TOL, so
 # every mid it tests is a multiple of 1 / _GRID.
 _GRID = 2.0 ** math.ceil(-math.log2(BISECTION_TOL))
 # A Newton step this short already lands deep inside one grid cell.
 _PROBE_STEP = 1.0 / (64.0 * _GRID)
 _BRACKET_EVALS = 10
+
+
+def _margin(delta: float, limit: float) -> float:
+    # binomial_cdf falls with b only up to rounding: over random queries up
+    # to m = 1e9 it rose by up to 400 ulps on the thin-tail sums and by up
+    # to 7e-12 of the tail mass on the continued fraction. A point whose CDF
+    # clears the limit by this margin (ten times that or more) decides every
+    # bisection mid beyond it: each would evaluate to the same side.
+    return 4096.0 * math.ulp(limit) + 1e-10 * min(delta, limit)
 
 
 def _bracket(s: int, m: int, delta: float, limit: float) -> tuple[float, float]:
@@ -141,12 +190,7 @@ def _bracket(s: int, m: int, delta: float, limit: float) -> tuple[float, float]:
     b = _normal_start(s, m, delta)
     last_step = 0.0
     target = math.log(limit / (1.0 - limit))
-    # binomial_cdf falls with b only up to rounding: over random queries up
-    # to m = 1e9 it rose by up to 400 ulps on the thin-tail sums and by up
-    # to 7e-12 of the tail mass on the continued fraction. A bracket end
-    # clears the limit by ten times that or more, so that every mid beyond
-    # it evaluates to the same side.
-    margin = 4096.0 * math.ulp(limit) + 1e-10 * min(delta, limit)
+    margin = _margin(delta, limit)
     for _ in range(_BRACKET_EVALS):
         if not lo < b < hi:
             break

@@ -45,11 +45,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_score_file(path: str, fmt: str, kappa: str, header: bool) -> ScoreSample:
     if fmt == "raw":
         return load_scores(path, "raw_scores", cf=ConfidenceFunction.from_name(kappa))
-    if fmt == "softmax":
-        return load_scores(
-            path, "softmax_csv", cf=ConfidenceFunction.from_name(kappa), header=header
-        )
-    raise ValueError(f"format {fmt!r} does not yield scores")
+    return load_scores(path, "softmax_csv", cf=ConfidenceFunction.from_name(kappa), header=header)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def gen_scores(dist: ScoreDist, n: int, seed: int) -> ScoreSample:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = _draw_scores(dist, n, make_rng(seed))
-    return ScoreSample(scores=values, source_id=f"sim:{dist!r}:seed={seed}")
+    return ScoreSample(values)
 
 
 def gen_vectors(dist: VectorDist, n: int, seed: int) -> VectorSample:

@@ -63,7 +63,6 @@ class ScoreSample:
 
     scores: np.ndarray
     kappa_name: str = ConfidenceFunction.RAW_PASSTHROUGH.value
-    source_id: str = ""
 
     def __post_init__(self) -> None:
         arr = _frozen_array(self.scores)
@@ -256,7 +255,7 @@ def load_scores(
     raw_scores holds one decimal float per line, a one-column CSV, and is
     taken verbatim (kappa_name raw_passthrough unless cf overrides the label).
     softmax_csv rows are validated as probability vectors and converted
-    through the given confidence function. The sample's source_id is the path.
+    through the given confidence function.
     """
     if format == "raw_scores":
         matrix, first_line = read_csv_matrix(path)
@@ -267,15 +266,11 @@ def load_scores(
             )
         values = matrix[:, 0]
         name = (cf or ConfidenceFunction.RAW_PASSTHROUGH).value
-        return ScoreSample(scores=values, kappa_name=name, source_id=path)
+        return ScoreSample(scores=values, kappa_name=name)
     if format == "softmax_csv":
         if cf is None or cf is ConfidenceFunction.RAW_PASSTHROUGH:
             raise ValueError("softmax_csv requires a softmax_response or one_minus_entropy CF")
         matrix, first_line = read_csv_matrix(path, header=header)
         validate_softmax_rows(matrix, path, first_line)
-        return ScoreSample(
-            scores=kappa_of_rows(matrix, cf),
-            kappa_name=cf.value,
-            source_id=path,
-        )
+        return ScoreSample(scores=kappa_of_rows(matrix, cf), kappa_name=cf.value)
     raise ValueError(f"unknown score file format {format!r}")

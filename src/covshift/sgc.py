@@ -2,8 +2,11 @@
 
 Binary search over the ascending scores of a detection-training sample for
 a threshold whose coverage lower bound matches a target coverage. Each of
-the ceil(log2 m) iterations solves the binomial-tail bound at confidence
-delta / ceil(log2 m); the pair from the final iteration is returned.
+the ceil(log2 m) iterations compares the binomial-tail bound at confidence
+delta / ceil(log2 m) with the target through bounds.bound_at_most, which
+mostly needs one CDF evaluation and no solve. run_sgc solves the bound only
+for the final iteration, whose pair it returns; iter_sgc solves it for
+every iteration of the trace.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import solve_bound
+from .bounds import bound_at_most, solve_bound
 
 __all__ = [
     "CoverageBound",
@@ -57,16 +60,15 @@ class SgcIteration(NamedTuple):
     b_star: float
 
 
-def iter_sgc(
+def _search(
     sorted_scores: np.ndarray, delta: float, target_coverage: float
-) -> list[SgcIteration]:
-    """Run SGC at confidence delta and return the full binary-search trace.
+) -> tuple[int, float, list[tuple[int, int, int, int, float, int]]]:
+    """(m, per-iteration delta, steps) of the binary search on ascending scores.
 
-    sorted_scores must be ascending (np.sort of a sample's scores), so that
-    one sort serves every target coverage of a fit; z is the 1-based index
-    of the candidate threshold. When the solved bound undershoots the
-    target (b* <= c*) the search moves toward higher coverage (z_max = z),
-    otherwise toward lower coverage (z_min = z).
+    Each step is (index, z_min, z_max, z, theta, successes). A step whose
+    bound undershoots the target (b* <= c*) moves toward higher coverage
+    (z_max = z), otherwise toward lower coverage (z_min = z); bound_at_most
+    decides that, mostly without solving the bound.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -78,31 +80,48 @@ def iter_sgc(
     k = math.ceil(math.log2(m))
     per_iteration_delta = delta / k
 
-    trace: list[SgcIteration] = []
+    steps = []
     z_min, z_max = 1, m
     for i in range(1, k + 1):
         z = (z_min + z_max + 1) // 2
         theta = float(sorted_scores[z - 1])
         # Scores >= theta, ties at theta included.
         successes = m - int(np.searchsorted(sorted_scores, theta, side="left"))
-        c_hat = successes / m
-        b_star = solve_bound(m, successes, per_iteration_delta)
-        trace.append(SgcIteration(i, z_min, z_max, z, theta, c_hat, b_star))
-        if b_star <= target_coverage:
+        steps.append((i, z_min, z_max, z, theta, successes))
+        if bound_at_most(m, successes, per_iteration_delta, target_coverage):
             z_max = z
         else:
             z_min = z
-    return trace
+    return m, per_iteration_delta, steps
+
+
+def iter_sgc(
+    sorted_scores: np.ndarray, delta: float, target_coverage: float
+) -> list[SgcIteration]:
+    """Run SGC at confidence delta and return the full binary-search trace.
+
+    sorted_scores must be ascending (np.sort of a sample's scores), so that
+    one sort serves every target coverage of a fit; z is the 1-based index
+    of the candidate threshold. Every step's bound b* is solved.
+    """
+    m, step_delta, steps = _search(sorted_scores, delta, target_coverage)
+    return [
+        SgcIteration(i, z_min, z_max, z, theta, s / m, solve_bound(m, s, step_delta))
+        for i, z_min, z_max, z, theta, s in steps
+    ]
 
 
 def run_sgc(sorted_scores: np.ndarray, delta: float, target_coverage: float) -> CoverageBound:
-    """Fit one coverage bound on ascending scores; returns the final iteration's pair."""
-    trace = iter_sgc(sorted_scores, delta, target_coverage)
-    last = trace[-1]
+    """Fit one coverage bound on ascending scores; returns the final iteration's pair.
+
+    Only that pair's bound is solved.
+    """
+    m, step_delta, steps = _search(sorted_scores, delta, target_coverage)
+    *_, theta, successes = steps[-1]
     return CoverageBound(
         c_target=target_coverage,
-        b_star=last.b_star,
-        theta=last.theta,
-        iterations=len(trace),
-        empirical_coverage_at_fit=last.c_hat,
+        b_star=solve_bound(m, successes, step_delta),
+        theta=theta,
+        iterations=len(steps),
+        empirical_coverage_at_fit=successes / m,
     )

@@ -5,8 +5,8 @@ import pytest
 
 import covshift.bounds as bounds
 import covshift.sgc as sgc
-from covshift.bounds import BISECTION_TOL, binomial_cdf, solve_bound
-from covshift.detector import fit
+from covshift.bounds import BISECTION_TOL, binomial_cdf, bound_at_most, solve_bound
+from covshift.detector import coverage_grid, fit
 from covshift.scores import ScoreSample
 from oracles import bisection_bound, grid_scan_bound
 
@@ -142,18 +142,38 @@ class TestSolveBound:
 
 
 @pytest.fixture(scope="module")
-def fit_queries():
-    """The 200 bound queries of a fit at m = 1e6, in the order SGC asks them."""
+def fit_scores():
+    return np.random.default_rng(1).beta(5.0, 1.0, 1_000_000)
+
+
+@pytest.fixture(scope="module")
+def fit_queries(fit_scores):
+    """The 200 bound queries of the SGC traces of a fit at m = 1e6, in SGC order."""
     queries = []
 
     def record(*q):
         queries.append(q)
         return solve_bound(*q)
 
-    scores = np.random.default_rng(1).beta(5.0, 1.0, 1_000_000)
+    sorted_scores = np.sort(fit_scores)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgc, "solve_bound", record)
-        fit(ScoreSample(scores), delta=0.01, c_target_count=10)
+        for c in coverage_grid(10):
+            sgc.iter_sgc(sorted_scores, 0.01, c)
+    return queries
+
+
+def flat_rounding_queries():
+    # At tiny delta and small m the CDF changes by an ulp over many grid
+    # cells near the root and is not monotone at that scale; a bracket end
+    # that cleared the limit by rounding alone replayed some of these to a
+    # neighbouring grid point.
+    rng = np.random.default_rng(8)
+    queries = []
+    for _ in range(500):
+        m = int(rng.integers(2, 1000))
+        delta = float(10 ** rng.uniform(-12, -8))
+        queries.append((m, int(rng.integers(0, m)), delta))
     return queries
 
 
@@ -217,17 +237,7 @@ class TestBracketedSolve:
         self.assert_matches_oracle(queries)
 
     def test_queries_where_the_cdf_rounds_flat(self):
-        # At tiny delta and small m the CDF changes by an ulp over many grid
-        # cells near the root and is not monotone at that scale; a bracket
-        # end that cleared the limit by rounding alone replayed some of
-        # these to a neighbouring grid point.
-        rng = np.random.default_rng(8)
-        queries = []
-        for _ in range(500):
-            m = int(rng.integers(2, 1000))
-            delta = float(10 ** rng.uniform(-12, -8))
-            queries.append((m, int(rng.integers(0, m)), delta))
-        self.assert_matches_oracle(queries)
+        self.assert_matches_oracle(flat_rounding_queries())
 
     @pytest.mark.parametrize("slope", [0.0, math.nan])
     def test_unusable_slope_falls_back_to_full_bisection(self, slope, monkeypatch):
@@ -243,3 +253,68 @@ class TestBracketedSolve:
     def test_few_cdf_evaluations_per_cold_solve(self, fit_queries, monkeypatch):
         calls = [cold_solve(q, monkeypatch)[1] for q in dict.fromkeys(fit_queries)]
         assert max(calls) <= 12
+
+
+class TestBoundAtMost:
+    """bound_at_most(m, s, delta, c) is exactly solve_bound(m, s, delta) <= c."""
+
+    def test_matches_solved_bound(self):
+        rng = np.random.default_rng(12)
+        queries = flat_rounding_queries()
+        for _ in range(200):
+            m = int(10 ** rng.uniform(0, 9))
+            delta = float(10 ** rng.uniform(-12, math.log10(0.9)))
+            for s in {0, 1, m // 2, m - 1, m}:
+                queries.append((m, s, delta))
+        queries += [(10**9, s, d) for s in (0, 1, 10**9 // 2, 10**9 - 1) for d in (1e-12, 0.9)]
+        cell = 1.0 / bounds._GRID
+        mismatched = []
+        for q in queries:
+            b_star = solve_bound(*q)
+            for c in (
+                *(b_star + k * cell for k in range(-3, 4)),
+                b_star - 1e-12,
+                b_star + 1e-12,
+                float(rng.random()),
+                1.0,
+            ):
+                if bound_at_most(*q, c) != (b_star <= c):
+                    mismatched.append((q, c))
+        assert not mismatched, mismatched[:5]
+
+    def test_cdf_that_fails_to_converge_falls_back_to_the_solve(self, monkeypatch):
+        # Near the centre of a binomial with m above about 1e8 the continued
+        # fraction can fail to converge: binomial_cdf(993563119, 1987126238,
+        # 0.5) raises, while the solve of this query never evaluates there.
+        q = (1987126238, 993563119, 0.01)
+        b_star = solve_bound(*q)
+
+        def failing(*args):
+            raise ArithmeticError("continued fraction failed to converge")
+
+        monkeypatch.setattr(bounds, "binomial_cdf", failing)
+        assert bound_at_most(*q, b_star)
+        assert not bound_at_most(*q, b_star - 1.0 / bounds._GRID)
+
+    def test_query_validation(self):
+        with pytest.raises(ValueError, match="delta"):
+            bound_at_most(10, 5, 1.0, 0.5)
+        with pytest.raises(ValueError, match="successes"):
+            bound_at_most(10, 11, 0.1, 0.5)
+
+    def test_cold_fit_solves_only_the_kept_pairs(self, fit_scores, monkeypatch):
+        calls = 0
+        cdf = bounds.binomial_cdf
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return cdf(*args)
+
+        monkeypatch.setattr(bounds, "binomial_cdf", counting)
+        solve_bound.cache_clear()
+        fit(ScoreSample(fit_scores), delta=0.01, c_target_count=10)
+        solves = solve_bound.cache_info()
+        solve_bound.cache_clear()
+        assert solves.hits + solves.misses == 10
+        assert calls <= 300

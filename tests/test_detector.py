@@ -191,6 +191,25 @@ class TestPinnedFit:
         assert (beta_calls > 0) == (m > 1000)
 
 
+class TestSolvedDecisions:
+    @pytest.mark.parametrize("m", sorted(PINNED_FITS))
+    def test_pinned_fit_when_every_decision_solves(self, m, monkeypatch):
+        # No CDF clears an infinite margin, so every SGC step solves its
+        # bound and every solve bisects without a bracket.
+        monkeypatch.setattr(bounds, "_margin", lambda delta, limit: math.inf)
+        bounds.solve_bound.cache_clear()
+        model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
+        solves = bounds.solve_bound.cache_info()
+        bounds.solve_bound.cache_clear()
+        got = [
+            (p.b_star.hex(), p.theta.hex(), p.empirical_coverage_at_fit.hex())
+            for p in model.pairs
+        ]
+        assert got == PINNED_FITS[m]
+        steps = sum(p.iterations for p in model.pairs)
+        assert solves.hits + solves.misses == steps + len(model.pairs)
+
+
 class TestViolationTerms:
     def test_no_violation_all_zero(self, small_model):
         window = ScoreSample(np.full(50, 2.0))  # above every theta

@@ -79,6 +79,22 @@ class TestRunSgc:
                 assert it.z_min < it.z <= it.z_max
                 assert 1 <= it.z <= m
 
+    def test_each_step_moves_the_way_its_bound_says(self):
+        for m, target in ((2, 0.5), (9, 0.3), (100, 0.5), (1000, 0.9), (5000, 0.1)):
+            for scores in (substream(5, m).random(m), np.round(substream(6, m).random(m), 1)):
+                sorted_scores = np.sort(scores)
+                trace = iter_sgc(sorted_scores, 0.05, target)
+                for it, nxt in zip(trace, trace[1:]):
+                    if it.b_star <= target:
+                        assert (nxt.z_min, nxt.z_max) == (it.z_min, it.z)
+                    else:
+                        assert (nxt.z_min, nxt.z_max) == (it.z, it.z_max)
+                last = trace[-1]
+                cb = run_sgc(sorted_scores, 0.05, target)
+                assert (cb.b_star, cb.theta, cb.empirical_coverage_at_fit) == (
+                    last.b_star, last.theta, last.c_hat
+                )
+
     def test_uniform_guarantee_monte_carlo(self):
         # b* stays near the target and fresh-sample coverage at theta
         # exceeds b* in >= 99% of trials (delta = 0.01)
