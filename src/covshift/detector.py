@@ -7,7 +7,9 @@ one-sided one-sample t-test on the per-instance violation terms; the
 window is flagged as shifted when the p-value falls below alpha.
 
 A fitted model is a handful of scalars, so detection cost depends only on
-the window size, never on the size of the detection-training sample.
+the window size, never on the size of the detection-training sample. The
+model builds its thresholds and bounds into two read-only arrays once, so
+a window pays only for the statistic's own arithmetic.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ import math
 import os
 import stat
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .scores import ConfidenceFunction, ScoreSample
 from .sgc import CoverageBound, run_sgc
-from .stats import student_t_cdf
+from .stats import student_t_cdf, welch_moments
 
 __all__ = [
     "FORMAT_VERSION",
@@ -61,12 +63,19 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Fitted set of coverage bounds plus the fit configuration."""
+    """Fitted set of coverage bounds plus the fit configuration.
+
+    thetas, a (C, 1) column, and b_stars, a (C,) array, hold the pairs'
+    thresholds and bounds for detect. Both are read-only, built from pairs
+    when the model is made, and left out of ==, hash, repr and the file.
+    """
 
     pairs: tuple[CoverageBound, ...]
     delta: float
     kappa_name: str
     m: int
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    b_stars: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -84,6 +93,16 @@ class DetectorModel:
             )
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
+        thetas = np.array([[p.theta] for p in self.pairs])
+        b_stars = np.array([p.b_star for p in self.pairs])
+        thetas.flags.writeable = False
+        b_stars.flags.writeable = False
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "b_stars", b_stars)
+
+    def __reduce__(self):
+        # Unpickle and copy through __init__, so the arrays are rebuilt read-only.
+        return (DetectorModel, (self.pairs, self.delta, self.kappa_name, self.m))
 
 
 class CoverageCheck(NamedTuple):
@@ -146,8 +165,9 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
     in-distribution windows. An all-identical vector degenerates to
     p = 1 when the mean is <= 0 and p = 0 otherwise.
     """
-    if len(window) < 2:
-        raise ValueError(f"window must contain k >= 2 scores, got k={len(window)}")
+    n = len(window)
+    if n < 2:
+        raise ValueError(f"window must contain k >= 2 scores, got k={n}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if window.kappa_name != model.kappa_name:
@@ -155,18 +175,16 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
             f"window kappa {window.kappa_name!r} does not match "
             f"model kappa {model.kappa_name!r}"
         )
-    thetas = np.array([p.theta for p in model.pairs])
-    b_stars = np.array([p.b_star for p in model.pairs])
-    selected = window.scores >= thetas[:, None]
-    c_hat = selected.mean(axis=1)
+    b_stars = model.b_stars
+    selected = window.scores >= model.thetas
+    c_hat = np.add.reduce(selected, axis=1, dtype=np.float64) / n
     violated = c_hat <= b_stars
-    per_instance = np.where(violated[:, None], b_stars[:, None] - selected, 0.0).mean(axis=0)
-    n = per_instance.size
-    mean = float(per_instance.mean())
+    terms = np.where(violated[:, None], b_stars[:, None] - selected, 0.0)
+    mean, var, _ = welch_moments(np.add.reduce(terms, axis=0) / len(b_stars))
     if mean < -1e-9:
         raise AssertionError(f"violation statistic must be nonnegative, got {mean}")
     v = max(0.0, mean)
-    sd = float(per_instance.std(ddof=1))
+    sd = math.sqrt(var)
     if sd == 0.0:
         p = 1.0 if mean <= 0.0 else 0.0
     else:
@@ -182,7 +200,7 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
         p_value=p,
         shift_detected=p < alpha,
         per_coverage=checks,
-        window_size=len(window),
+        window_size=n,
     )
 
 

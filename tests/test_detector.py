@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import json
 import math
 import os
+import pickle
 import stat
 from dataclasses import replace
 
@@ -38,6 +40,12 @@ def beta_scores(a, b, n, stream, index=0):
 def small_model():
     sample = ScoreSample(beta_scores(5, 1, 5000, stream=900))
     return fit(sample, delta=0.01, c_target_count=10)
+
+
+@pytest.fixture(scope="module")
+def pinned_model():
+    # The m = 20 000 fit of PINNED_FITS.
+    return fit(gen_scores(BetaDist(5.0, 1.0), 20_000, seed=3), delta=0.01, c_target_count=10)
 
 
 FORMAT_1_TWO_PAIRS = """{
@@ -189,6 +197,105 @@ class TestPinnedFit:
         ]
         assert got == PINNED_FITS[m]
         assert (beta_calls > 0) == (m > 1000)
+
+
+# float.hex of (v_statistic, p_value) for detect(pinned_model, window, 0.05) on
+# each of pinned_windows(pinned_model), in order.
+PINNED_DETECTS = [
+    ("0x1.47b3c7a333333p-7", "0x0.0p+0"),
+    ("0x1.0b8d587955555p-5", "0x1.b8d566bf0b394p-3"),
+    ("0x1.eb6c0e930a3d6p-5", "0x1.4a941ecf6bd8cp-3"),
+    ("0x1.05ee7e0418933p-9", "0x1.7e59ab4a1fa2cp-2"),
+    ("0x1.6d678b295e9e6p-10", "0x1.8114b367f221ep-2"),
+    ("0x1.603b4ae5cccccp-3", "0x1.3b95b1c792d78p-2"),
+    ("0x1.e8b4fc9e22221p-5", "0x1.566f637dba7a4p-2"),
+    ("0x1.708ea354a3d70p-4", "0x1.50d6d4e2d5006p-3"),
+    ("0x1.0e4b2e8489374p-3", "0x1.c7e9cedf742c6p-14"),
+    ("0x1.0a6708d5a3056p-3", "0x1.485a8bfeb0fd7p-111"),
+    ("0x1.fff580decccccp-4", "0x1.68e2835b7d900p-2"),
+    ("0x1.e2f72b65c4444p-2", "0x1.44e986d19843ap-9"),
+    ("0x1.b32dc8692e146p-2", "0x1.d04102b65190cp-22"),
+    ("0x1.b433ed465d2f1p-2", "0x1.3fbc913a8b72fp-148"),
+    ("0x1.a27cd5ed7b15ap-2", "0x0.0p+0"),
+    ("0x1.1680cf9600000p-3", "0x1.0ff51164399c6p-2"),
+    ("0x1.6500571211111p-3", "0x1.698fb7c445338p-3"),
+    ("0x1.3f65f1ca147aep-5", "0x1.047d7954461eap-2"),
+    ("0x1.063fd454fdf48p-10", "0x1.a567eb5777210p-2"),
+    ("0x1.a3010a1e4f75ap-12", "0x1.549d74440c62dp-2"),
+    ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ("0x1.028ca6c3f3332p-1", "0x1.e497ca41defd5p-472"),
+    ("0x1.26dd2f9d47ae2p-5", "0x1.cf3942e42cf8ap-3"),
+]
+
+
+def pinned_windows(model):
+    # Twenty Beta windows, k cycling through 2, 3, 10, 100 and 1000: one
+    # in-distribution set, then three shifted ones. Then a window above
+    # every theta (sd = 0, p = 1), one below every theta (equal per-instance
+    # means, whose rounded mean leaves a sd of a few ulp) and one holding
+    # theta_5 three times.
+    shapes = ((5.0, 1.0), (3.0, 1.0), (2.0, 2.0), (5.0, 1.0))
+    windows = [
+        substream(5100, i).beta(*shapes[i // 5], size=(2, 3, 10, 100, 1000)[i % 5])
+        for i in range(20)
+    ]
+    theta = model.pairs[4].theta
+    holding_theta = np.array([theta] * 3 + [0.5] * 3 + [0.99] * 4)
+    return [*windows, np.full(10, 2.0), np.full(10, -1.0), holding_theta]
+
+
+class TestPinnedDetect:
+    def test_detect_floats_are_pinned(self, pinned_model):
+        reports = [
+            detect(pinned_model, ScoreSample(w), alpha=0.05) for w in pinned_windows(pinned_model)
+        ]
+        got = [(r.v_statistic.hex(), r.p_value.hex()) for r in reports]
+        assert got == PINNED_DETECTS
+        # The k = 2 window 0 has two equal per-instance means and a positive
+        # mean, so its sd is 0 and its p is 0; the last window's fifth
+        # coverage selects the theta-valued scores and holds.
+        assert reports[0].p_value == 0.0 and reports[0].v_statistic > 0.0
+        assert [c.violated for c in reports[-1].per_coverage] == [False] * 7 + [True] * 3
+
+
+class TestModelColumns:
+    def test_read_only_columns_of_the_pairs(self, small_model):
+        c = len(small_model.pairs)
+        assert small_model.thetas.shape == (c, 1)
+        assert small_model.b_stars.shape == (c,)
+        assert small_model.thetas.dtype == small_model.b_stars.dtype == np.float64
+        assert small_model.thetas[:, 0].tolist() == [p.theta for p in small_model.pairs]
+        assert small_model.b_stars.tolist() == [p.b_star for p in small_model.pairs]
+        for column in (small_model.thetas, small_model.b_stars):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+    def test_ignored_by_eq_hash_and_repr(self, small_model):
+        twin = replace(small_model)
+        assert twin.thetas is not small_model.thetas
+        assert twin == small_model
+        assert hash(twin) == hash(small_model)
+        assert "thetas" not in repr(small_model) and "b_stars" not in repr(small_model)
+        assert twin != replace(small_model, m=small_model.m + 1)
+
+    def test_rebuilt_by_replace(self, small_model):
+        pairs = tuple(
+            replace(p, b_star=p.b_star / 2, theta=p.theta + 1.0) for p in small_model.pairs
+        )
+        model = replace(small_model, pairs=pairs)
+        assert model.thetas[:, 0].tolist() == [p.theta for p in pairs]
+        assert model.b_stars.tolist() == [p.b_star for p in pairs]
+        assert not model.thetas.flags.writeable and not model.b_stars.flags.writeable
+        with pytest.raises(ValueError, match="init=False"):
+            replace(small_model, thetas=small_model.thetas)
+
+    def test_survive_pickle(self, small_model):
+        model = pickle.loads(pickle.dumps(small_model))
+        assert model == small_model
+        assert model.thetas.tolist() == small_model.thetas.tolist()
+        assert model.b_stars.tolist() == small_model.b_stars.tolist()
+        assert not model.thetas.flags.writeable and not model.b_stars.flags.writeable
 
 
 class TestSolvedDecisions:
@@ -468,6 +575,14 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(manual_model(pairs), str(path))
         assert path.read_text(encoding="utf-8") == FORMAT_1_TWO_PAIRS
+
+    def test_pinned_fit_file_bytes(self, pinned_model, tmp_path):
+        # The model file of the m = 20 000 fit, byte for byte: the threshold
+        # and bound arrays a model carries stay out of its file.
+        path = tmp_path / "model.json"
+        save_model(pinned_model, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a87dbe2eaf4959b7495f300451a1dffc99503718e2c40652daa16490eec8063d"
 
     def test_non_utf8_file_named(self, tmp_path):
         path = tmp_path / "model.json"
