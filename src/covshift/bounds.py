@@ -14,10 +14,14 @@ small m and for tails thin relative to m, and otherwise goes through the
 regularized incomplete beta identity, so the solver stays stable up to
 very large sample sizes.
 
-An SGC step needs only whether b* <= c. bound_at_most answers that from
-one CDF evaluation at the grid point at or below c, and solves the bound
-only when that evaluation lies within the bracket's rounding margin of
-the limit.
+An SGC search needs only whether b* <= c at the counts it visits.
+bound_at_most answers that for one count from one CDF evaluation at the
+grid point at or below c, and solves the bound only when that evaluation
+lies within the bracket's rounding margin of the limit. Since b* rises
+with the count, success_threshold turns those answers into one count per
+target coverage, found by galloping and bisecting from a normal
+approximation in a few bound_at_most calls, and the search compares each
+of its counts below m with it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .stats import _log_beta_front, incomplete_beta
 
-__all__ = ["binomial_cdf", "bound_at_most", "solve_bound"]
+__all__ = ["binomial_cdf", "bound_at_most", "solve_bound", "success_threshold"]
 
 BISECTION_TOL = 1e-10
 
@@ -157,6 +161,45 @@ def bound_at_most(m: int, successes: int, delta: float, c: float) -> bool:
     return solve_bound(m, successes, delta) <= c
 
 
+def success_threshold(m: int, delta: float, c: float) -> int:
+    """Largest s < m with bound_at_most(m, s, delta, c), or -1 if there is none.
+
+    The bound rises with the success count, so for s < m the answer of
+    bound_at_most is True up to this threshold and False above it. The
+    search starts at the normal-approximation quantile of Binomial(m, c)
+    with mass delta above it, gallops away from it until the answer
+    flips, and bisects the last gallop step, deciding every count it
+    tests with bound_at_most. successes == m lies outside that range: its
+    bound delta ** (1 / m) is not a grid point and can sit below the
+    bound at m - 1.
+    """
+    _check_query(m, 0, delta)
+    q = min(max(c, 0.0), 1.0)
+    start = m * q + _upper_normal_quantile(delta) * math.sqrt(m * q * (1.0 - q)) - 0.5
+    s = min(max(math.floor(start), 0), m - 1)
+    # lo is -1 or a count that bound_at_most accepts, hi is m or one it rejects.
+    step = 1
+    if bound_at_most(m, s, delta, c):
+        lo = s
+        while lo + step < m and bound_at_most(m, lo + step, delta, c):
+            lo += step
+            step *= 2
+        hi = min(lo + step, m)
+    else:
+        hi = s
+        while hi - step >= 0 and not bound_at_most(m, hi - step, delta, c):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, -1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound_at_most(m, mid, delta, c):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # The bisection halves [0, 1] until it is no wider than BISECTION_TOL, so
 # every mid it tests is a multiple of 1 / _GRID.
 _GRID = 2.0 ** math.ceil(-math.log2(BISECTION_TOL))
@@ -236,16 +279,19 @@ def _cdf_slope(s: int, m: int, b: float) -> float:
 
 def _normal_start(s: int, m: int, delta: float) -> float:
     # Continuity-corrected Wilson bound: the b at which the normal
-    # approximation puts mass delta above s + 1/2. The quantile z of 1 - delta
-    # is the Abramowitz-Stegun 26.2.23 rational approximation (|error| <
-    # 4.5e-4), which is close enough for a starting point.
-    p = min(delta, 1.0 - delta)
-    t = math.sqrt(-2.0 * math.log(p))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    if delta > 0.5:
-        z = -z
+    # approximation puts mass delta above s + 1/2.
+    z = _upper_normal_quantile(delta)
     phat = (s + 0.5) / m
     zz = z * z / m
     return (phat + 0.5 * zz - z * math.sqrt(phat * (1.0 - phat) / m + 0.25 * zz / m)) / (1.0 + zz)
+
+
+def _upper_normal_quantile(p: float) -> float:
+    # The z with P(Z > z) = p for a standard normal Z: the Abramowitz-Stegun
+    # 26.2.23 rational approximation (|error| < 4.5e-4), which is close
+    # enough for a starting point.
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    return -z if p > 0.5 else z

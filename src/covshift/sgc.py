@@ -3,8 +3,10 @@
 Binary search over the ascending scores of a detection-training sample for
 a threshold whose coverage lower bound matches a target coverage. Each of
 the ceil(log2 m) iterations compares the binomial-tail bound at confidence
-delta / ceil(log2 m) with the target through bounds.bound_at_most, which
-mostly needs one CDF evaluation and no solve. run_sgc solves the bound only
+delta / ceil(log2 m) with the target. That bound rises with the success
+count, so before the search bounds.success_threshold finds, in a few CDF
+evaluations, the largest count whose bound is at most the target, and each
+iteration then compares its count with it. run_sgc solves the bound only
 for the final iteration, whose pair it returns; iter_sgc solves it for
 every iteration of the trace.
 """
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_at_most, solve_bound
+from .bounds import bound_at_most, solve_bound, success_threshold
 
 __all__ = [
     "CoverageBound",
@@ -67,8 +69,10 @@ def _search(
 
     Each step is (index, z_min, z_max, z, theta, successes). A step whose
     bound undershoots the target (b* <= c*) moves toward higher coverage
-    (z_max = z), otherwise toward lower coverage (z_min = z); bound_at_most
-    decides that, mostly without solving the bound.
+    (z_max = z), otherwise toward lower coverage (z_min = z). For successes
+    below m that holds exactly when successes is at most the target's
+    success threshold, found once per search; a step with successes == m
+    asks bound_at_most.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -80,6 +84,7 @@ def _search(
     k = math.ceil(math.log2(m))
     per_iteration_delta = delta / k
 
+    threshold = success_threshold(m, per_iteration_delta, target_coverage)
     steps = []
     z_min, z_max = 1, m
     for i in range(1, k + 1):
@@ -88,7 +93,13 @@ def _search(
         # Scores >= theta, ties at theta included.
         successes = m - int(np.searchsorted(sorted_scores, theta, side="left"))
         steps.append((i, z_min, z_max, z, theta, successes))
-        if bound_at_most(m, successes, per_iteration_delta, target_coverage):
+        if successes < m:
+            below = successes <= threshold
+        else:
+            # delta ** (1 / m), not the bisection's grid point: outside the
+            # threshold's monotone range.
+            below = bound_at_most(m, m, per_iteration_delta, target_coverage)
+        if below:
             z_max = z
         else:
             z_min = z

@@ -11,9 +11,10 @@ both raw samples in one function (sharing only the t CDF), and a count
 over every positive/negative pair for AUROC. They must stay independent
 of the implementations they check. The exceptions must agree bit for
 bit with the code they check: bisection_bound, the plain bisection the
-bracketed solver replays, shares binomial_cdf on purpose, and
-median_bandwidth_triu and welch_moments_numpy are the numpy expressions
-that the selected bandwidth and the reduced Welch moments replaced.
+bracketed solver replays, shares binomial_cdf on purpose, stepwise_sgc
+decides every SGC step with it, and median_bandwidth_triu and
+welch_moments_numpy are the numpy expressions that the selected
+bandwidth and the reduced Welch moments replaced.
 """
 
 import math
@@ -87,6 +88,29 @@ def bisection_bound(m: int, successes: int, delta: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def stepwise_sgc(sorted_scores, delta: float, target: float) -> tuple[float, float, float]:
+    """(b_star, theta, coverage at fit) of SGC deciding each step by its own bound.
+
+    Every step bisects its bound with bisection_bound and compares it with
+    the target, so no success threshold, Newton bracket or single-CDF
+    decision is involved.
+    """
+    m = sorted_scores.size
+    k = math.ceil(math.log2(m))
+    step_delta = delta / k
+    z_min, z_max = 1, m
+    for _ in range(k):
+        z = (z_min + z_max + 1) // 2
+        theta = float(sorted_scores[z - 1])
+        successes = int(np.count_nonzero(sorted_scores >= theta))
+        b_star = bisection_bound(m, successes, step_delta)
+        if b_star <= target:
+            z_max = z
+        else:
+            z_min = z
+    return b_star, theta, successes / m
 
 
 def mmd2_double_loop(x: np.ndarray, y: np.ndarray, sigma: float) -> float:

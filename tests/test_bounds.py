@@ -5,7 +5,13 @@ import pytest
 
 import covshift.bounds as bounds
 import covshift.sgc as sgc
-from covshift.bounds import BISECTION_TOL, binomial_cdf, bound_at_most, solve_bound
+from covshift.bounds import (
+    BISECTION_TOL,
+    binomial_cdf,
+    bound_at_most,
+    solve_bound,
+    success_threshold,
+)
 from covshift.detector import coverage_grid, fit
 from covshift.scores import ScoreSample
 from oracles import bisection_bound, grid_scan_bound
@@ -317,4 +323,48 @@ class TestBoundAtMost:
         solves = solve_bound.cache_info()
         solve_bound.cache_clear()
         assert solves.hits + solves.misses == 10
-        assert calls <= 300
+        assert calls <= 100
+
+
+class TestSuccessThreshold:
+    """success_threshold(m, delta, c) splits the counts below m by bound_at_most."""
+
+    def test_every_count_of_small_samples(self):
+        rng = np.random.default_rng(13)
+        queries = []
+        for m in range(1, 301):
+            delta = float(10 ** rng.uniform(-12, math.log10(0.9)))
+            near = (rng.uniform(0.0, 0.02), rng.uniform(0.98, 1.0), rng.random())
+            queries.append((m, delta, float(near[m % 3])))
+            # At c = 1.0 every decision solves its bound, so fewer m.
+            if m % 15 == 0:
+                queries.append((m, delta, 1.0))
+        mismatched = []
+        for m, delta, c in queries:
+            threshold = success_threshold(m, delta, c)
+            assert -1 <= threshold < m
+            mismatched += [
+                (m, s, delta, c)
+                for s in range(m)
+                if bound_at_most(m, s, delta, c) != (s <= threshold)
+            ]
+        assert not mismatched, mismatched[:5]
+
+    def test_cdf_that_fails_to_converge_falls_back_to_the_solve(self, monkeypatch):
+        # Every decision then solves its bound, served from the cache that
+        # the solve-based threshold fills here.
+        m, delta, c = 40, 0.01, 0.7
+        expected = max(s for s in range(m) if solve_bound(m, s, delta) <= c)
+        assert expected < m - 1
+
+        def failing(*args):
+            raise ArithmeticError("continued fraction failed to converge")
+
+        monkeypatch.setattr(bounds, "binomial_cdf", failing)
+        assert success_threshold(m, delta, c) == expected
+
+    def test_query_validation(self):
+        with pytest.raises(ValueError, match="delta"):
+            success_threshold(10, 0.0, 0.5)
+        with pytest.raises(ValueError, match="m must"):
+            success_threshold(0, 0.1, 0.5)

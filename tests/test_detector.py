@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import covshift.bounds as bounds
+import covshift.sgc as sgc
 from covshift.detector import (
     DEFAULT_C_TARGET_COUNT,
     DEFAULT_DELTA,
@@ -301,9 +302,21 @@ class TestModelColumns:
 class TestSolvedDecisions:
     @pytest.mark.parametrize("m", sorted(PINNED_FITS))
     def test_pinned_fit_when_every_decision_solves(self, m, monkeypatch):
-        # No CDF clears an infinite margin, so every SGC step solves its
-        # bound and every solve bisects without a bracket.
+        # No CDF clears an infinite margin, so every SGC decision solves its
+        # bound and every solve bisects without a bracket. The decisions
+        # are the bound_at_most calls, made by the success threshold's
+        # search and by steps where every score succeeds.
+        decisions = 0
+        at_most = bounds.bound_at_most
+
+        def counting(*args):
+            nonlocal decisions
+            decisions += 1
+            return at_most(*args)
+
         monkeypatch.setattr(bounds, "_margin", lambda delta, limit: math.inf)
+        monkeypatch.setattr(bounds, "bound_at_most", counting)
+        monkeypatch.setattr(sgc, "bound_at_most", counting)
         bounds.solve_bound.cache_clear()
         model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
         solves = bounds.solve_bound.cache_info()
@@ -313,8 +326,8 @@ class TestSolvedDecisions:
             for p in model.pairs
         ]
         assert got == PINNED_FITS[m]
-        steps = sum(p.iterations for p in model.pairs)
-        assert solves.hits + solves.misses == steps + len(model.pairs)
+        assert decisions > 0
+        assert solves.hits + solves.misses == decisions + len(model.pairs)
 
 
 class TestViolationTerms:

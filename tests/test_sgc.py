@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from covshift.bounds import solve_bound, success_threshold
 from covshift.sgc import CoverageBound, iter_sgc, run_sgc
 from covshift.stats import substream
+from oracles import stepwise_sgc
 
 
 class TestCoverageBound:
@@ -108,3 +110,59 @@ class TestRunSgc:
             if (fresh >= cb.theta).mean() > cb.b_star:
                 held += 1
         assert held >= int(0.99 * n_trials)
+
+
+def fit_samples(rng, count, log10_m_range):
+    """Seeded sorted samples of four kinds: continuous, saturated, negative, integer."""
+    for i in range(count):
+        m = int(10 ** rng.uniform(*log10_m_range))
+        scores = rng.beta(5.0, 1.0, m)
+        if i % 4 == 1:
+            scores[rng.random(m) < 0.6] = 1.0
+        elif i % 4 == 2:
+            scores = -3.0 * rng.standard_normal(m)
+        elif i % 4 == 3:
+            scores = rng.integers(0, 6, m).astype(float)
+        yield np.sort(scores)
+
+
+class TestThresholdDecisions:
+    """run_sgc decides its steps from one success threshold per target.
+
+    Each fit must equal the stepwise oracle, which bisects every step's bound.
+    """
+
+    def assert_fits_match(self, rng, samples):
+        mismatched = []
+        for sorted_scores in samples:
+            delta = float(10 ** rng.uniform(-12, math.log10(0.9)))
+            targets = (float(rng.uniform(0.001, 1.0)), float(rng.uniform(0.99, 1.0)), 1.0)
+            for target in targets:
+                cb = run_sgc(sorted_scores, delta, target)
+                got = (cb.b_star, cb.theta, cb.empirical_coverage_at_fit)
+                if got != stepwise_sgc(sorted_scores, delta, target):
+                    mismatched.append((sorted_scores.size, delta, target))
+        assert not mismatched, mismatched[:5]
+
+    def test_random_fits_match_the_stepwise_oracle(self):
+        rng = np.random.default_rng(19)
+        self.assert_fits_match(rng, fit_samples(rng, 80, (math.log10(2), 4.0)))
+
+    def test_large_fits_match_the_stepwise_oracle(self):
+        rng = np.random.default_rng(20)
+        self.assert_fits_match(rng, fit_samples(rng, 8, (4.5, 5.0)))
+
+    def test_full_success_step_is_decided_by_its_own_bound(self):
+        # The lowest 9 of 16 scores tie, so the first step succeeds on every
+        # score. Its bound delta' ** (1 / m) is exactly the target, which
+        # lies below the bound at m - 1: that step moves to higher coverage
+        # although m exceeds the success threshold.
+        m = 16
+        sorted_scores = np.concatenate([np.zeros(9), np.arange(1.0, 8.0)])
+        step_delta = 0.01 / 4
+        target = step_delta ** (1.0 / m)
+        assert target < solve_bound(m, m - 1, step_delta)
+        assert success_threshold(m, step_delta, target) < m - 1
+        cb = run_sgc(sorted_scores, 0.01, target)
+        assert (cb.b_star, cb.theta, cb.empirical_coverage_at_fit) == (target, 0.0, 1.0)
+        assert stepwise_sgc(sorted_scores, 0.01, target) == (target, 0.0, 1.0)
