@@ -140,10 +140,13 @@ def bound_at_most(m: int, successes: int, delta: float, c: float) -> bool:
     >= g is feasible and the bisection ends at or below g; above it, every
     mid <= g is infeasible and it ends above g. The bound is solved instead
     when the CDF at g lies within the margin or fails to converge, when
-    successes == m, and when g is not inside (0, 1).
+    successes == m, and when g is 0. A bound never exceeds 1, so c >= 1 is
+    answered True with no evaluation at all.
     """
     _check_query(m, successes, delta)
-    g = math.floor(c * _GRID) / _GRID if 0.0 < c < 1.0 else 0.0
+    if c >= 1.0:
+        return True
+    g = math.floor(c * _GRID) / _GRID if c > 0.0 else 0.0
     if successes < m and g > 0.0:
         limit = 1.0 - delta
         margin = _margin(delta, limit)

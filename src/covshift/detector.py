@@ -66,8 +66,9 @@ class DetectorModel:
     """Fitted set of coverage bounds plus the fit configuration.
 
     thetas, a (C, 1) column, and b_stars, a (C,) array, hold the pairs'
-    thresholds and bounds for detect. Both are read-only, built from pairs
-    when the model is made, and left out of ==, hash, repr and the file.
+    thresholds and bounds for detect, and c_targets their target
+    coverages. All are read-only, built from pairs when the model is made,
+    and left out of ==, hash, repr and the file.
     """
 
     pairs: tuple[CoverageBound, ...]
@@ -76,6 +77,7 @@ class DetectorModel:
     m: int
     thetas: np.ndarray = field(init=False, repr=False, compare=False)
     b_stars: np.ndarray = field(init=False, repr=False, compare=False)
+    c_targets: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -99,6 +101,7 @@ class DetectorModel:
         b_stars.flags.writeable = False
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "b_stars", b_stars)
+        object.__setattr__(self, "c_targets", tuple(targets))
 
     def __reduce__(self):
         # Unpickle and copy through __init__, so the arrays are rebuilt read-only.
@@ -191,15 +194,14 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
         t = mean / (sd / math.sqrt(n))
         # Upper tail as the CDF at -t: 1 - cdf(t) rounds to 0 below about 1e-16.
         p = student_t_cdf(-t, n - 1)
-    checks = tuple(
-        CoverageCheck(pair.c_target, pair.b_star, c, viol)
-        for pair, c, viol in zip(model.pairs, c_hat.tolist(), violated.tolist())
+    checks = map(
+        CoverageCheck, model.c_targets, b_stars.tolist(), c_hat.tolist(), violated.tolist()
     )
     return DetectionReport(
         v_statistic=v,
         p_value=p,
         shift_detected=p < alpha,
-        per_coverage=checks,
+        per_coverage=tuple(checks),
         window_size=n,
     )
 

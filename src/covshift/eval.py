@@ -34,7 +34,14 @@ from .detector import (
     fit,
 )
 from .scores import ScoreSample
-from .stats import WelchMoments, make_rng, substream, t_test_welch_against, welch_moments
+from .stats import (
+    WelchMoments,
+    make_rng,
+    rekey,
+    substream,
+    t_test_welch_against,
+    welch_moments,
+)
 
 __all__ = [
     "LabeledPValues",
@@ -533,7 +540,9 @@ def run_trials(id_pool, shifted_pool, method: WindowMethod, plan: TrialPlan) -> 
     For every window size and trial, one ID window and one shifted window
     are sampled without replacement and handed to the method; the
     resulting labeled p-values aggregate into one metrics row per window
-    size.
+    size. Trial t at the si-th window size draws the stream of
+    substream(plan.seed, si * n_trials + t), from one generator rekeyed
+    per trial.
     """
     id_rows = _pool_rows(id_pool)
     shifted_rows = _pool_rows(shifted_pool)
@@ -544,11 +553,12 @@ def run_trials(id_pool, shifted_pool, method: WindowMethod, plan: TrialPlan) -> 
             f"got {id_rows.shape[0]} ID and {shifted_rows.shape[0]} shifted"
         )
     outcome = TrialOutcome(method=method.name)
+    rng = substream(plan.seed, 0)
     for si, k in enumerate(plan.window_sizes):
         p_values = np.empty(2 * plan.n_trials)
         labels = np.zeros(2 * plan.n_trials, dtype=bool)
         for t in range(plan.n_trials):
-            rng = substream(plan.seed, si * plan.n_trials + t)
+            rekey(rng, plan.seed, si * plan.n_trials + t)
             id_idx = rng.choice(id_rows.shape[0], size=k, replace=False)
             sh_idx = rng.choice(shifted_rows.shape[0], size=k, replace=False)
             id_seed = int(rng.integers(0, 2**63))

@@ -68,7 +68,7 @@ class ScoreSample:
         arr = _frozen_array(self.scores)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("score sample must contain at least one score")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("score sample contains NaN or infinite entries")
         object.__setattr__(self, "scores", arr)
 

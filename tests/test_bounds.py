@@ -308,6 +308,35 @@ class TestBoundAtMost:
         with pytest.raises(ValueError, match="successes"):
             bound_at_most(10, 11, 0.1, 0.5)
 
+    def test_coverage_one_or_above_needs_no_evaluation(self, monkeypatch):
+        # A bound never exceeds 1, so c >= 1 holds at every count without
+        # a solve or a CDF evaluation.
+        calls = 0
+        cdf, solve = bounds.binomial_cdf, bounds.solve_bound
+
+        def counting(real):
+            def wrapped(*args):
+                nonlocal calls
+                calls += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(bounds, "binomial_cdf", counting(cdf))
+        monkeypatch.setattr(bounds, "solve_bound", counting(solve))
+        for m in range(1, 61):
+            for s in range(m + 1):
+                for delta in (1e-12, 0.01, 0.9):
+                    assert bound_at_most(m, s, delta, 1.0)
+                    assert bound_at_most(m, s, delta, 1.5)
+                    assert bound_at_most(m, s, delta, math.inf)
+        assert calls == 0
+        for q in [(0, 0, 0.1), (10, 11, 0.1), (10, -1, 0.1), (10, 5, 0.0), (10, 5, 1.0),
+                  (10.0, 5, 0.1), (10, 5.0, 0.1)]:
+            with pytest.raises(ValueError):
+                bound_at_most(*q, 1.0)
+        assert calls == 0
+
     def test_cold_fit_solves_only_the_kept_pairs(self, fit_scores, monkeypatch):
         calls = 0
         cdf = bounds.binomial_cdf
@@ -336,9 +365,8 @@ class TestSuccessThreshold:
             delta = float(10 ** rng.uniform(-12, math.log10(0.9)))
             near = (rng.uniform(0.0, 0.02), rng.uniform(0.98, 1.0), rng.random())
             queries.append((m, delta, float(near[m % 3])))
-            # At c = 1.0 every decision solves its bound, so fewer m.
-            if m % 15 == 0:
-                queries.append((m, delta, 1.0))
+            # At c = 1.0 every count below m passes, and none evaluates.
+            queries.append((m, delta, 1.0))
         mismatched = []
         for m, delta, c in queries:
             threshold = success_threshold(m, delta, c)

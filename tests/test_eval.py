@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -33,6 +34,7 @@ from covshift.eval import (
     parse_vector_dist,
     run_trials,
 )
+import covshift.eval as eval_module
 from covshift.scores import ScoreSample
 from covshift.stats import substream
 from oracles import auroc_pair_count
@@ -309,6 +311,41 @@ class TestRunTrials:
         plan = TrialPlan(window_sizes=(50,), n_trials=2, seed=1)
         with pytest.raises(ValueError, match="max window size"):
             run_trials(small, small, self.make_method(), plan)
+
+    def test_csv_pinned(self, monkeypatch):
+        # SHA-256 of each method's CSV on small seeded pools, computed when
+        # every trial built its own generator; one generator per call,
+        # rekeyed per trial, must score the same windows with the same seeds.
+        pinned = {
+            "ours": "cae73abc694bdc819067efe1d39f81bad11d61089eb96d71974b7563b16fd07e",
+            "single-sr": "a7855ba0b105d845f04336ba1579d7da50aca4ab90880f8d74390d62875c9fdb",
+            "ks": "c15d955c0a519fc66480de386377a1ada9302cda4a98a6c3ad4d83835e944a2c",
+            "mmd": "ea9fce9ca313d1d23ccaa03abe152976ec4a13e16fe597db03edef5a0dd21d7c",
+        }
+        settings = MethodSettings(n_permutations=30)
+        pools = {
+            "score": (gen_scores(BetaDist(5, 1), 2000, seed=90),
+                      gen_scores(BetaDist(5, 1), 300, seed=91),
+                      gen_scores(BetaDist(3, 2), 300, seed=92)),
+            "vector": (gen_vectors(DirichletDist((4.0, 1.0, 1.0)), 400, seed=93),
+                       gen_vectors(DirichletDist((4.0, 1.0, 1.0)), 300, seed=94),
+                       gen_vectors(DirichletDist((2.0, 1.0, 1.0)), 300, seed=95)),
+        }
+        plan = TrialPlan(window_sizes=(10, 40), n_trials=6, seed=96)
+        made = 0
+
+        def counting(*args):
+            nonlocal made
+            made += 1
+            return substream(*args)
+
+        monkeypatch.setattr(eval_module, "substream", counting)
+        for name, digest in pinned.items():
+            train, id_pool, shifted = pools[METHODS[name].input_kind]
+            method = METHODS[name].build(train, settings)
+            csv = run_trials(id_pool, shifted, method, plan).to_csv()
+            assert hashlib.sha256(csv.encode()).hexdigest() == digest, name
+        assert made == len(pinned)
 
 
 class TestFittedAdaptors:

@@ -14,6 +14,7 @@ from covshift.stats import (
     make_rng,
     median_heuristic_bandwidth,
     permutation_test_mmd,
+    rekey,
     student_t_cdf,
     substream,
     t_test_two_sample_welch,
@@ -421,6 +422,33 @@ class TestPermutationMmd:
                 r = permutation_test_mmd(x, y, n_permutations=200, seed=seed)
                 assert r.p_value == (1 + expected) / 201
 
+    def test_pinned_floats(self, monkeypatch):
+        # Statistic and p-value of three seeded cases, computed when every
+        # permutation built its own generator; one generator per call,
+        # rekeyed per permutation, must draw the same permutations.
+        pinned = [
+            ("-0x1.6a59e714658c0p-6", "0x1.4141414141414p-1"),
+            ("0x1.7e880cb949640p-6", "0x1.3d70a3d70a3d7p-2"),
+            ("0x1.c7b1b0d8d1af8p-4", "0x1.6ece540f4898dp-4"),
+        ]
+        made = 0
+
+        def counting(*args):
+            nonlocal made
+            made += 1
+            return substream(*args)
+
+        monkeypatch.setattr(stats_module, "substream", counting)
+        cases = [(20, 20, 2, 0.0, 50), (30, 12, 3, 0.5, 99), (9, 25, 1, 1.0, 200)]
+        got = []
+        for case, (m, n, d, shift, n_permutations) in enumerate(cases):
+            x = substream(97, case).standard_normal((m, d))
+            y = substream(98, case).standard_normal((n, d)) + shift
+            r = permutation_test_mmd(x, y, n_permutations, seed=case + 5)
+            got.append((r.statistic.hex(), r.p_value.hex()))
+        assert got == pinned
+        assert made == len(cases)
+
     @pytest.mark.parametrize("m, n", [(12, 30), (30, 12), (20, 20)])
     @pytest.mark.parametrize("n_permutations", [1, 7, 100])
     def test_matches_per_permutation_definition(self, m, n, n_permutations):
@@ -524,6 +552,45 @@ class TestRng:
     def test_substream_negative_index_rejected(self):
         with pytest.raises(ValueError):
             substream(1, -1)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, -7])
+    def test_rekeyed_generator_draws_as_a_fresh_substream(self, seed):
+        draws = (
+            lambda g: g.choice(50, 10, replace=False),
+            lambda g: g.integers(0, 2**63),
+            lambda g: g.permutation(30),
+            lambda g: g.standard_normal(5),
+        )
+        rng = substream(seed, 0)
+        left_behind = set()
+        for i in range(201):
+            # Leave state behind: an advanced counter, a partly used output
+            # buffer and, after an odd number of 32-bit draws, a cached half.
+            rng.standard_normal(i % 3)
+            for _ in range(i % 2 + 1):
+                rng.integers(0, 7)
+            rng.random(dtype=np.float32)
+            state = rng.bit_generator.state
+            left_behind.add((bool(state["state"]["counter"].any()), state["has_uint32"]))
+            fresh = substream(seed, i)
+            assert rekey(rng, seed, i) is rng
+            # Each draw leads in turn: bounded draws reject some raw values,
+            # a stale zero among them, and could hide a buffer left behind.
+            for draw in draws[i % 4:] + draws[:i % 4]:
+                assert np.array_equal(draw(rng), draw(fresh)), (seed, i)
+        assert {(True, 0), (True, 1)} <= left_behind
+
+    def test_rekey_rejects_the_indices_substream_rejects(self):
+        for index in (-1, 2**64 - 1, 2**70):
+            with pytest.raises(ValueError):
+                substream(1, index)
+            rng = substream(1, 3)
+            with pytest.raises(ValueError):
+                rekey(rng, 1, index)
+            assert np.array_equal(rng.random(4), substream(1, 3).random(4))
+        last = 2**64 - 2
+        rng = rekey(substream(1, 0), 1, last)
+        assert np.array_equal(rng.random(4), substream(1, last).random(4))
 
     def test_result_p_value_validated(self):
         with pytest.raises(ValueError):
