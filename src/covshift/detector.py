@@ -20,6 +20,7 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -115,6 +116,11 @@ class CoverageCheck(NamedTuple):
     violated: bool
 
 
+# CoverageCheck from a 4-tuple without the Python-level __new__ that
+# CoverageCheck(...) runs: detect builds one per coverage per window.
+_new_check = partial(tuple.__new__, CoverageCheck)
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     """Verdict for one window: V, p-value, and per-coverage diagnostics."""
@@ -194,14 +200,12 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
         t = mean / (sd / math.sqrt(n))
         # Upper tail as the CDF at -t: 1 - cdf(t) rounds to 0 below about 1e-16.
         p = student_t_cdf(-t, n - 1)
-    checks = map(
-        CoverageCheck, model.c_targets, b_stars.tolist(), c_hat.tolist(), violated.tolist()
-    )
+    rows = zip(model.c_targets, b_stars.tolist(), c_hat.tolist(), violated.tolist())
     return DetectionReport(
         v_statistic=v,
         p_value=p,
         shift_detected=p < alpha,
-        per_coverage=tuple(checks),
+        per_coverage=tuple(map(_new_check, rows)),
         window_size=n,
     )
 

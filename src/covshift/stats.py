@@ -16,6 +16,7 @@ handed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -223,8 +224,126 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     return _incomplete_beta_xc(a, b, x, 1.0 - x)
 
 
+# Student-t tails at integral df: detect asks for df = k - 1 on every
+# window, so the continued fraction's coefficients and the front factor's
+# terms that depend only on (a, b) are computed once per (a, b) and read
+# back. The plain loop needed at most 58 terms for the t CDF's b = 0.5 at
+# every df tried from 1 to 1e8; a table covers 64.
+_CF_TABLE_TERMS = 64
+_BETA_TABLE_CACHE = 16
+
+
+def _continued_fraction_table(a: float, b: float) -> tuple:
+    # (a + b, a + 1, rows): row m - 1 holds the four per-term factors of
+    # _beta_continued_fraction's two aa expressions at m, as that loop
+    # computes them before it multiplies by x and divides.
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    rows = []
+    for m in range(1, _CF_TABLE_TERMS + 1):
+        m2 = 2 * m
+        rows.append((
+            m * (b - m),
+            (qam + m2) * (a + m2),
+            -(a + m) * (qab + m),
+            (a + m2) * (qap + m2),
+        ))
+    return qab, qap, tuple(rows)
+
+
+def _continued_fraction_from_table(table: tuple, x: float) -> float | None:
+    # _beta_continued_fraction(a, b, x) with its coefficients read from
+    # _continued_fraction_table(a, b): the same operations in the same
+    # order, so the same bits. None when the table ends unconverged.
+    qab, qap, rows = table
+    eps = 1e-15
+    fpmin = 1e-300
+
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for num_odd, den_odd, num_even, den_even in rows:
+        aa = num_odd * x / den_odd
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = num_even * x / den_even
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    return None
+
+
+@functools.lru_cache(maxsize=_BETA_TABLE_CACHE)
+def _beta_table(a: float, b: float) -> tuple:
+    # Everything _incomplete_beta_xc(a, b, ...) computes from a and b
+    # alone: n = a + b, the three _lgamma_corr terms and the log term of
+    # _log_beta_front, the symmetry switch, and the continued-fraction
+    # tables of both sides.
+    n = a + b
+    return (
+        n,
+        _lgamma_corr(a),
+        _lgamma_corr(b),
+        _lgamma_corr(n),
+        0.5 * math.log(a * b / (2.0 * math.pi * n)),
+        (a + 1.0) / (a + b + 2.0),
+        _continued_fraction_table(a, b),
+        _continued_fraction_table(b, a),
+    )
+
+
+def _incomplete_beta_tabled(a: float, b: float, x: float, xc: float) -> float:
+    # _incomplete_beta_xc(a, b, x, xc) bit for bit, reading _beta_table(a, b).
+    # A fraction that needs more terms than the table holds is re-run by
+    # the plain loop, whose first terms are the table's.
+    if x == 0.0:
+        return 0.0
+    if xc == 0.0:
+        return 1.0
+    n, corr_a, corr_b, corr_n, log_scale, switch, lower, upper = _beta_table(a, b)
+    front = math.exp(
+        -_bd0(a, x * n) - _bd0(b, xc * n) - corr_a - corr_b + corr_n + log_scale
+    )
+    if x < switch:
+        h = _continued_fraction_from_table(lower, x)
+        if h is None:
+            h = _beta_continued_fraction(a, b, x)
+        return min(1.0, front * h / a)
+    h = _continued_fraction_from_table(upper, xc)
+    if h is None:
+        h = _beta_continued_fraction(b, a, xc)
+    return max(0.0, 1.0 - front * h / b)
+
+
 def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t distribution with df > 0 degrees of freedom."""
+    """CDF of Student's t distribution with df > 0 degrees of freedom.
+
+    An integral df (an int, or a float such as 9.0) reads the incomplete
+    beta's continued-fraction coefficients and the front factor's
+    (a, b)-only terms from a table built once per df; a fixed-size cache
+    keeps the 16 most recently used. The table path performs the
+    plain loop's operations in its order, so its result equals the plain
+    loop's bit for bit. A fractional df, such as a Welch-Satterthwaite df,
+    rarely repeats and runs the plain loop.
+    """
     if not df > 0:
         raise ValueError(f"student_t_cdf requires df > 0, got {df}")
     if math.isnan(t):
@@ -238,7 +357,10 @@ def student_t_cdf(t: float, df: float) -> float:
     denom = df + t * t
     x = df / denom
     xc = t * t / denom
-    tail = 0.5 * _incomplete_beta_xc(0.5 * df, 0.5, x, xc)
+    if float(df).is_integer():
+        tail = 0.5 * _incomplete_beta_tabled(0.5 * df, 0.5, x, xc)
+    else:
+        tail = 0.5 * _incomplete_beta_xc(0.5 * df, 0.5, x, xc)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -482,6 +604,13 @@ def welch_moments(a) -> WelchMoments:
     return WelchMoments(float(mean), float(var), n)
 
 
+# From this sum of the two squared standard errors up, its square in the
+# Welch-Satterthwaite df is a normal float (at least 2**-1000). Below it
+# the squares lose precision and, for spreads below about 1e-77,
+# underflow to 0 / 0.
+_WELCH_SQUARE_SAFE = 2.0**-500
+
+
 def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
     """Two-sided Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
 
@@ -498,10 +627,15 @@ def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
             return TestResult(0.0, 1.0, {"degenerate": True})
         stat = math.copysign(math.inf, ref.mean - y.mean)
         return TestResult(stat, 0.0, {"degenerate": True})
-    t = (ref.mean - y.mean) / math.sqrt(se_x + se_y)
-    df = (se_x + se_y) ** 2 / (
-        se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1)
-    )
+    se = se_x + se_y
+    t = (ref.mean - y.mean) / math.sqrt(se)
+    if se >= _WELCH_SQUARE_SAFE:
+        df = se**2 / (se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1))
+    else:
+        # The same df divided through by se**2: it squares the weights
+        # se_x / se and se_y / se in [0, 1] instead of the tiny errors.
+        w = se_x / se
+        df = 1.0 / (w**2 / (ref.n - 1) + (1.0 - w) ** 2 / (y.n - 1))
     # The tail is read at -|t|: 1 - cdf(|t|) rounds to 0 below about 1e-16.
     return TestResult(t, 2.0 * student_t_cdf(-abs(t), df), {"df": df})
 

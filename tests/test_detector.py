@@ -12,9 +12,11 @@ import pytest
 
 import covshift.bounds as bounds
 import covshift.sgc as sgc
+import covshift.detector as detector_module
 from covshift.detector import (
     DEFAULT_C_TARGET_COUNT,
     DEFAULT_DELTA,
+    CoverageCheck,
     DetectorModel,
     ModelFormatError,
     coverage_grid,
@@ -442,6 +444,31 @@ class TestDetect:
                 means, checks = violation_means_loop(model, ScoreSample(window))
                 self._assert_report_equals(report, means, checks, alpha=0.05)
 
+    def test_t_cdf_called_once_per_window_with_spread(self, small_model, monkeypatch):
+        # detect reads the t CDF through covshift.detector's module global,
+        # once per window whose per-instance means spread (alternating
+        # scores below and above every threshold) and never for one whose
+        # means are all equal.
+        calls = []
+
+        def counting(t, df):
+            calls.append(df)
+            return student_t_cdf(t, df)
+
+        monkeypatch.setattr(detector_module, "student_t_cdf", counting)
+        for k in (2, 3, 10, 100):
+            window = ScoreSample(np.resize([-1.0, 2.0], k))
+            assert violation_means_loop(small_model, window)[0].std() > 0.0
+            detect(small_model, window, alpha=0.05)
+            assert calls == [k - 1], k
+            calls.clear()
+        # No coverage violated, and every coverage violated at k = 2, where
+        # the mean of two equal means is exact.
+        for window in (np.full(10, 2.0), np.full(2, -1.0)):
+            report = detect(small_model, ScoreSample(window), alpha=0.05)
+            assert report.p_value in (0.0, 1.0)
+        assert calls == []
+
     @pytest.mark.parametrize("df", [1, 2])
     def test_upper_tail_matches_closed_form(self, df):
         # P(T >= t) on df = 1 and 2 in closed form. The k = df + 1 terms
@@ -496,6 +523,7 @@ class TestDetect:
         assert report.p_value == p
         assert report.shift_detected == (p < alpha)
         assert report.window_size == n
+        assert all(type(c) is CoverageCheck for c in report.per_coverage)
         assert [tuple(c) for c in report.per_coverage] == list(checks)
         assert [tuple(map(type, c)) for c in report.per_coverage] == [
             tuple(map(type, c)) for c in checks

@@ -77,6 +77,22 @@ class TestSpecialFunctions:
             expected = 0.5 + t / (2.0 * math.sqrt(t * t + 2.0))
             assert student_t_cdf(t, 2.0) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("df", [1, 1.0, 2, 2.0])
+    def test_student_t_cdf_deep_tail_relative(self, df):
+        # The lower tail P(T <= -t) in closed form: atan(1/t)/pi on df = 1,
+        # 1/(s(s + t)) with s = sqrt(2 + t^2) on df = 2. At t = 1e150 these
+        # are about 2e-151 and 5e-301, far below what an absolute
+        # tolerance could see.
+        def lower_tail(t):
+            if df == 1:
+                return math.atan(1.0 / t) / math.pi
+            s = math.sqrt(2.0 + t * t)
+            return 1.0 / (s * (s + t))
+
+        for t in np.logspace(-6, 150, 313):
+            t = float(t)
+            assert student_t_cdf(-t, df) == pytest.approx(lower_tail(t), rel=1e-12, abs=0.0), t
+
     def test_student_t_cdf_large_df_matches_normal(self):
         # at df = 1e6 the t distribution is a normal to ~1e-7
         for t in (-2.0, -0.5, 1.0, 2.5):
@@ -86,6 +102,80 @@ class TestSpecialFunctions:
     def test_student_t_cdf_domain(self):
         with pytest.raises(ValueError):
             student_t_cdf(0.0, 0.0)
+
+
+def plain_t_cdf(t, df):
+    # student_t_cdf through the plain continued fraction, for every df.
+    if t == 0.0:
+        return 0.5
+    denom = df + t * t
+    tail = 0.5 * stats_module._incomplete_beta_xc(0.5 * df, 0.5, df / denom, t * t / denom)
+    return 1.0 - tail if t > 0 else tail
+
+
+def t_grid(df):
+    # A log grid of |t| from 1e-8 to 1e150, both signs, and points around
+    # the symmetry switch x = (a + 1)/(a + b + 2), at t^2 = 3 df / (df + 2).
+    switch = math.sqrt(3.0 * df / (df + 2.0))
+    ts = [float(t) for t in np.logspace(-8, 150, 25)]
+    ts += [switch * (1.0 + e) for e in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+    ts.append(math.nextafter(switch, 0.0))
+    ts.append(math.nextafter(switch, math.inf))
+    return [s * t for t in ts for s in (1.0, -1.0)]
+
+
+class TestStudentTTables:
+    """Integral df read the continued fraction from per-df tables."""
+
+    def test_integral_df_equal_the_plain_fraction_bit_for_bit(self):
+        for df in [*range(1, 1001), 10**4, 10**5]:
+            for t in t_grid(df):
+                want = plain_t_cdf(t, df).hex()
+                assert student_t_cdf(t, df).hex() == want, (df, t)
+                assert student_t_cdf(t, float(df)).hex() == want, (df, t)
+
+    def test_fractional_df_run_the_plain_fraction(self, monkeypatch):
+        def no_table(a, b):
+            raise AssertionError("a fractional df built a table")
+
+        monkeypatch.setattr(stats_module, "_beta_table", no_table)
+        for df in (0.5, 2.5, 23.803387046967142, 1e5 + 0.5):
+            for t in t_grid(df):
+                assert student_t_cdf(t, df).hex() == plain_t_cdf(t, df).hex(), (df, t)
+
+    @pytest.mark.parametrize("terms", [1, 3, 8])
+    def test_fractions_longer_than_the_table_keep_their_bits(self, terms, monkeypatch):
+        # Short tables end before the fraction converges, so the plain loop
+        # takes over; it must give the same bits.
+        monkeypatch.setattr(stats_module, "_CF_TABLE_TERMS", terms)
+        stats_module._beta_table.cache_clear()
+        ran_out = []
+        real = stats_module._continued_fraction_from_table
+
+        def recording(table, x):
+            h = real(table, x)
+            ran_out.append(h is None)
+            return h
+
+        monkeypatch.setattr(stats_module, "_continued_fraction_from_table", recording)
+        try:
+            for df in (1, 2, 9, 99, 10**5):
+                lower_rows = stats_module._beta_table(0.5 * df, 0.5)[6][2]
+                assert len(lower_rows) == terms
+                for t in t_grid(df):
+                    assert student_t_cdf(t, df).hex() == plain_t_cdf(t, df).hex(), (df, t)
+        finally:
+            stats_module._beta_table.cache_clear()
+        assert any(ran_out) and not all(ran_out)
+
+    def test_table_cache_is_bounded(self):
+        stats_module._beta_table.cache_clear()
+        for df in range(1, 3 * stats_module._BETA_TABLE_CACHE):
+            student_t_cdf(-1.5, df)
+        info = stats_module._beta_table.cache_info()
+        assert info.currsize == info.maxsize == stats_module._BETA_TABLE_CACHE
+        student_t_cdf(-2.5, df)
+        assert stats_module._beta_table.cache_info().hits == info.hits + 1
 
 
 class TestKsTwoSample:
@@ -509,6 +599,25 @@ class TestTTests:
             assert dict(fitted.detail) == dict(direct.detail)
         assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 2.0)).p_value == 1.0
         assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 1.0)).p_value == 0.0
+
+    def test_welch_tiny_spreads_keep_their_df(self):
+        # Scaling both samples by 2**-300 scales every squared standard error
+        # by 2**-600 exactly, so t is unchanged; their squares would
+        # underflow and make the df 0 / 0.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = rng.standard_normal(int(rng.integers(2, 60)))
+            b = rng.standard_normal(int(rng.integers(2, 60))) + rng.uniform(-2, 2)
+            plain = t_test_two_sample_welch(a, b)
+            tiny = t_test_two_sample_welch(2.0**-300 * a, 2.0**-300 * b)
+            assert tiny.statistic == plain.statistic
+            assert tiny.p_value == pytest.approx(plain.p_value, rel=1e-12, abs=0.0)
+            assert tiny.detail["df"] == pytest.approx(plain.detail["df"], rel=1e-12)
+            scaled = t_test_two_sample_welch(1e-100 * a, 1e-100 * b)
+            assert scaled.p_value == pytest.approx(plain.p_value, rel=1e-9, abs=0.0)
+        # One sample constant: the df is the other sample's n - 1.
+        lone = t_test_two_sample_welch(np.full(5, 2.0**-300), 2.0**-300 * np.arange(7.0))
+        assert lone.detail["df"] == 6.0
 
     @pytest.mark.parametrize("n", [2, 10, 100, 100_000])
     def test_welch_moments_equal_numpy(self, n):
