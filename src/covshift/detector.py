@@ -189,12 +189,20 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
     c_hat = np.add.reduce(selected, axis=1, dtype=np.float64) / n
     violated = c_hat <= b_stars
     terms = np.where(violated[:, None], b_stars[:, None] - selected, 0.0)
-    mean, var, _ = welch_moments(np.add.reduce(terms, axis=0) / len(b_stars))
+    c = len(b_stars)
+    means = np.add.reduce(terms, axis=0) / c
+    mean, var, _ = welch_moments(means)
     if mean < -1e-9:
         raise AssertionError(f"violation statistic must be nonnegative, got {mean}")
     v = max(0.0, mean)
     sd = math.sqrt(var)
-    if sd == 0.0:
+    # An instance's mean is the sum of the violated b* less its count of
+    # selected violated coverages, over C. Means of different counts differ
+    # by at least 1/C, so their sd is at least 1/(C sqrt(2(k - 1))) and
+    # sd C sqrt(k) at least 1/sqrt(2). Below 0.5 the means can still be
+    # equal with a sd of a few ulp from rounding their mean, so equality is
+    # checked exactly there.
+    if sd * c * math.sqrt(n) < 0.5 and means.min() == means.max():
         p = 1.0 if mean <= 0.0 else 0.0
     else:
         t = mean / (sd / math.sqrt(n))

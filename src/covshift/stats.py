@@ -2,11 +2,13 @@
 
 Special functions (regularized incomplete beta, Student-t CDF), the
 two-sample KS test, the permutation test of the unbiased squared MMD, the
-Welch two-sample t-test, and seeded reproducible randomness. The KS and
-Welch tests also take a reference prepared once (sorted; its moments),
-for callers that test many windows against one reference; the one-shot
-KS test sorts its reference and then calls ks_against_sorted, the one
-place that evaluates the two ECDFs.
+Welch two-sample t-test, and seeded reproducible randomness. The
+incomplete beta has one continued fraction, evaluated by one loop over
+one stream of terms; the t CDF at an integral df reads a cached prefix of
+that stream. The KS and Welch tests also take a reference prepared once
+(sorted; its moments), for callers that test many windows against one
+reference; the one-shot KS test sorts its reference and then calls
+ks_against_sorted, the one place that evaluates the two ECDFs.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -107,27 +110,41 @@ class TestResult:
 # Special functions
 # ---------------------------------------------------------------------------
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the incomplete-beta continued fraction
-    # (Numerical Recipes form); converges fast for x < (a+1)/(a+b+2).
-    # Convergence slows right at the switch boundary for huge a, b, hence
-    # the generous iteration cap.
-    max_iter = 5000
-    eps = 1e-15
-    fpmin = 1e-300
+# The fraction gives up after this many terms. Convergence slows right at
+# the symmetry switch for huge a, b, hence the generous cap; there it can
+# still fail once a + b passes about 1e8.
+_MAX_TERMS = 5000
 
+
+def _fraction_terms(a: float, b: float):
+    # The per-term factors of the incomplete-beta continued fraction
+    # (Numerical Recipes form), term m = 1, 2, ...: the numerator and
+    # denominator of the odd coefficient m(b - m) x / ((a - 1 + 2m)(a + 2m))
+    # and of the even one -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m)),
+    # each without its x.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    for m in range(1, _MAX_TERMS + 1):
+        m2 = 2 * m
+        yield m * (b - m), (qam + m2) * (a + m2), -(a + m) * (qab + m), (a + m2) * (qap + m2)
+
+
+def _lentz(terms, a: float, b: float, x: float) -> float | None:
+    # Modified Lentz evaluation of the fraction for (a, b) at x over the
+    # factors terms yields; converges fast for x < (a+1)/(a+b+2). None when
+    # terms run out before it converges.
+    eps = 1e-15
+    fpmin = 1e-300
+
     c = 1.0
-    d = 1.0 - qab * x / qap
+    d = 1.0 - (a + b) * x / (a + 1.0)
     if abs(d) < fpmin:
         d = fpmin
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    for num_odd, den_odd, num_even, den_even in terms:
+        aa = num_odd * x / den_odd
         d = 1.0 + aa * d
         if abs(d) < fpmin:
             d = fpmin
@@ -136,7 +153,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             c = fpmin
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = num_even * x / den_even
         d = 1.0 + aa * d
         if abs(d) < fpmin:
             d = fpmin
@@ -148,9 +165,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < eps:
             return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
-    )
+    return None
 
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -186,33 +201,72 @@ def _bd0(x: float, mu: float) -> float:
     return x * math.log(x / mu) + mu - x
 
 
-def _log_beta_front(a: float, b: float, x: float, xc: float) -> float:
+def _front_terms(a: float, b: float) -> tuple:
+    # The terms of _log_beta_front that depend on a and b alone: n = a + b,
+    # the three _lgamma_corr terms and the log scale.
+    n = a + b
+    log_scale = 0.5 * math.log(a * b / (2.0 * math.pi * n))
+    return n, _lgamma_corr(a), _lgamma_corr(b), _lgamma_corr(n), log_scale
+
+
+def _log_beta_front(
+    a: float, b: float, x: float, xc: float, front: tuple | None = None
+) -> float:
     # ln( x^a xc^b / B(a, b) ) in deviance form: the naive lgamma sum
     # cancels catastrophically for large parameters, this stays at a few
-    # ulp. Symmetric under (a, x) <-> (b, xc).
-    n = a + b
+    # ulp. Symmetric under (a, x) <-> (b, xc). front is _front_terms(a, b),
+    # computed here when not given.
+    n, corr_a, corr_b, corr_n, log_scale = front or _front_terms(a, b)
+    return -_bd0(a, x * n) - _bd0(b, xc * n) - corr_a - corr_b + corr_n + log_scale
+
+
+# Student-t tails at integral df: detect asks for df = k - 1 on every
+# window, so the front terms and the fraction's first terms on both sides
+# of the symmetry switch are computed once per (a, b) and read back. The
+# fraction needed at most 58 terms for the t CDF's b = 0.5 at every df
+# tried from 1 to 1e8; a table covers 64.
+_CF_TABLE_TERMS = 64
+_BETA_TABLE_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_BETA_TABLE_CACHE)
+def _beta_table(a: float, b: float) -> tuple:
+    # What _incomplete_beta_xc(a, b, ...) computes from a and b alone: the
+    # front terms and the first terms of the fraction on each side.
     return (
-        -_bd0(a, x * n)
-        - _bd0(b, xc * n)
-        - _lgamma_corr(a) - _lgamma_corr(b) + _lgamma_corr(n)
-        + 0.5 * math.log(a * b / (2.0 * math.pi * n))
+        _front_terms(a, b),
+        tuple(islice(_fraction_terms(a, b), _CF_TABLE_TERMS)),
+        tuple(islice(_fraction_terms(b, a), _CF_TABLE_TERMS)),
     )
 
 
-def _incomplete_beta_xc(a: float, b: float, x: float, xc: float) -> float:
+def _incomplete_beta_xc(
+    a: float, b: float, x: float, xc: float, table: tuple | None = None
+) -> float:
     # I_x(a, b) with the complement of x supplied exactly; callers that
     # know xc to full precision (e.g. the t CDF at tiny |t|) avoid the
-    # cancellation in 1 - x.
+    # cancellation in 1 - x. table is _beta_table(a, b) or None; it changes
+    # the cost, not the bits.
     if x == 0.0:
         return 0.0
     if xc == 0.0:
         return 1.0
-    front = math.exp(_log_beta_front(a, b, x, xc))
+    front, lower, upper = table or (None, (), ())
+    scale = math.exp(_log_beta_front(a, b, x, xc, front))
     # Symmetry switch keeps the continued fraction in its fast-converging
-    # regime on both sides.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return min(1.0, front * _beta_continued_fraction(a, b, x) / a)
-    return max(0.0, 1.0 - front * _beta_continued_fraction(b, a, xc) / b)
+    # regime on both sides. A fraction that outruns its side's prefix runs
+    # again over the whole stream, whose first terms are the prefix's, so
+    # the result has the same bits either way.
+    below = x < (a + 1.0) / (a + b + 2.0)
+    p, q, y, prefix = (a, b, x, lower) if below else (b, a, xc, upper)
+    h = _lentz(prefix, p, q, y) if prefix else None
+    if h is None:
+        h = _lentz(_fraction_terms(p, q), p, q, y)
+        if h is None:
+            raise ArithmeticError(
+                f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
+            )
+    return min(1.0, scale * h / a) if below else max(0.0, 1.0 - scale * h / b)
 
 
 def incomplete_beta(a: float, b: float, x: float) -> float:
@@ -224,125 +278,18 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     return _incomplete_beta_xc(a, b, x, 1.0 - x)
 
 
-# Student-t tails at integral df: detect asks for df = k - 1 on every
-# window, so the continued fraction's coefficients and the front factor's
-# terms that depend only on (a, b) are computed once per (a, b) and read
-# back. The plain loop needed at most 58 terms for the t CDF's b = 0.5 at
-# every df tried from 1 to 1e8; a table covers 64.
-_CF_TABLE_TERMS = 64
-_BETA_TABLE_CACHE = 16
-
-
-def _continued_fraction_table(a: float, b: float) -> tuple:
-    # (a + b, a + 1, rows): row m - 1 holds the four per-term factors of
-    # _beta_continued_fraction's two aa expressions at m, as that loop
-    # computes them before it multiplies by x and divides.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    rows = []
-    for m in range(1, _CF_TABLE_TERMS + 1):
-        m2 = 2 * m
-        rows.append((
-            m * (b - m),
-            (qam + m2) * (a + m2),
-            -(a + m) * (qab + m),
-            (a + m2) * (qap + m2),
-        ))
-    return qab, qap, tuple(rows)
-
-
-def _continued_fraction_from_table(table: tuple, x: float) -> float | None:
-    # _beta_continued_fraction(a, b, x) with its coefficients read from
-    # _continued_fraction_table(a, b): the same operations in the same
-    # order, so the same bits. None when the table ends unconverged.
-    qab, qap, rows = table
-    eps = 1e-15
-    fpmin = 1e-300
-
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for num_odd, den_odd, num_even, den_even in rows:
-        aa = num_odd * x / den_odd
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = num_even * x / den_even
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    return None
-
-
-@functools.lru_cache(maxsize=_BETA_TABLE_CACHE)
-def _beta_table(a: float, b: float) -> tuple:
-    # Everything _incomplete_beta_xc(a, b, ...) computes from a and b
-    # alone: n = a + b, the three _lgamma_corr terms and the log term of
-    # _log_beta_front, the symmetry switch, and the continued-fraction
-    # tables of both sides.
-    n = a + b
-    return (
-        n,
-        _lgamma_corr(a),
-        _lgamma_corr(b),
-        _lgamma_corr(n),
-        0.5 * math.log(a * b / (2.0 * math.pi * n)),
-        (a + 1.0) / (a + b + 2.0),
-        _continued_fraction_table(a, b),
-        _continued_fraction_table(b, a),
-    )
-
-
-def _incomplete_beta_tabled(a: float, b: float, x: float, xc: float) -> float:
-    # _incomplete_beta_xc(a, b, x, xc) bit for bit, reading _beta_table(a, b).
-    # A fraction that needs more terms than the table holds is re-run by
-    # the plain loop, whose first terms are the table's.
-    if x == 0.0:
-        return 0.0
-    if xc == 0.0:
-        return 1.0
-    n, corr_a, corr_b, corr_n, log_scale, switch, lower, upper = _beta_table(a, b)
-    front = math.exp(
-        -_bd0(a, x * n) - _bd0(b, xc * n) - corr_a - corr_b + corr_n + log_scale
-    )
-    if x < switch:
-        h = _continued_fraction_from_table(lower, x)
-        if h is None:
-            h = _beta_continued_fraction(a, b, x)
-        return min(1.0, front * h / a)
-    h = _continued_fraction_from_table(upper, xc)
-    if h is None:
-        h = _beta_continued_fraction(b, a, xc)
-    return max(0.0, 1.0 - front * h / b)
-
-
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of Student's t distribution with df > 0 degrees of freedom.
 
-    An integral df (an int, or a float such as 9.0) reads the incomplete
-    beta's continued-fraction coefficients and the front factor's
-    (a, b)-only terms from a table built once per df; a fixed-size cache
-    keeps the 16 most recently used. The table path performs the
-    plain loop's operations in its order, so its result equals the plain
-    loop's bit for bit. A fractional df, such as a Welch-Satterthwaite df,
-    rarely repeats and runs the plain loop.
+    The tail is the regularized incomplete beta I_x(df/2, 1/2), through
+    its one continued fraction. An integral df (an int, or a float such as
+    9.0, as detect's k - 1 always is) reads the fraction's first terms and
+    the front factor's (a, b)-only terms from a table, a cached prefix of
+    the same term stream built once per df; a fixed-size cache keeps the
+    16 most recently used. A fraction longer than the prefix runs again
+    over the whole stream, so the table changes the cost, not the bits. A
+    fractional df, such as a Welch-Satterthwaite df, rarely repeats and
+    computes every term as it goes.
     """
     if not df > 0:
         raise ValueError(f"student_t_cdf requires df > 0, got {df}")
@@ -357,10 +304,9 @@ def student_t_cdf(t: float, df: float) -> float:
     denom = df + t * t
     x = df / denom
     xc = t * t / denom
-    if float(df).is_integer():
-        tail = 0.5 * _incomplete_beta_tabled(0.5 * df, 0.5, x, xc)
-    else:
-        tail = 0.5 * _incomplete_beta_xc(0.5 * df, 0.5, x, xc)
+    a = 0.5 * df
+    table = _beta_table(a, 0.5) if float(df).is_integer() else None
+    tail = 0.5 * _incomplete_beta_xc(a, 0.5, x, xc, table)
     return 1.0 - tail if t > 0 else tail
 
 

@@ -14,7 +14,10 @@ bit with the code they check: bisection_bound, the plain bisection the
 bracketed solver replays, shares binomial_cdf on purpose, stepwise_sgc
 decides every SGC step with it, and median_bandwidth_triu and
 welch_moments_numpy are the numpy expressions that the selected
-bandwidth and the reduced Welch moments replaced.
+bandwidth and the reduced Welch moments replaced, and
+beta_continued_fraction, log_beta_front and incomplete_beta_xc are the
+incomplete beta as one plain loop that computes every term as it goes,
+which the library's table of cached terms must reproduce.
 """
 
 import math
@@ -23,7 +26,7 @@ import statistics
 import numpy as np
 
 from covshift.bounds import BISECTION_TOL, binomial_cdf
-from covshift.stats import student_t_cdf, substream
+from covshift.stats import _bd0, _lgamma_corr, student_t_cdf, substream
 
 GRID_STEP = 1e-6
 _COARSE = 1000  # coarse stride in grid units
@@ -272,3 +275,83 @@ def welch_from_samples(a, b):
     df = (se_x + se_y) ** 2 / (se_x**2 / (xs.size - 1) + se_y**2 / (ys.size - 1))
     p = 2.0 * student_t_cdf(-abs(t), df)
     return t, p
+
+
+def beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Modified Lentz evaluation of the incomplete-beta continued fraction.
+
+    Numerical Recipes form; converges fast for x < (a+1)/(a+b+2). Every
+    coefficient is computed inside the loop, and the loop gives up with
+    ArithmeticError after 5000 terms.
+    """
+    max_iter = 5000
+    eps = 1e-15
+    fpmin = 1e-300
+
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
+    )
+
+
+def log_beta_front(a: float, b: float, x: float, xc: float) -> float:
+    """ln( x^a xc^b / B(a, b) ) in deviance form, every term computed here."""
+    n = a + b
+    return (
+        -_bd0(a, x * n)
+        - _bd0(b, xc * n)
+        - _lgamma_corr(a) - _lgamma_corr(b) + _lgamma_corr(n)
+        + 0.5 * math.log(a * b / (2.0 * math.pi * n))
+    )
+
+
+def incomplete_beta_xc(a: float, b: float, x: float, xc: float) -> float:
+    """I_x(a, b) with the complement xc of x supplied, through beta_continued_fraction."""
+    if x == 0.0:
+        return 0.0
+    if xc == 0.0:
+        return 1.0
+    front = math.exp(log_beta_front(a, b, x, xc))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return min(1.0, front * beta_continued_fraction(a, b, x) / a)
+    return max(0.0, 1.0 - front * beta_continued_fraction(b, a, xc) / b)
+
+
+def plain_t_cdf(t: float, df: float) -> float:
+    """student_t_cdf for a finite t, through incomplete_beta_xc at every df."""
+    if t == 0.0:
+        return 0.5
+    denom = df + t * t
+    tail = 0.5 * incomplete_beta_xc(0.5 * df, 0.5, df / denom, t * t / denom)
+    return 1.0 - tail if t > 0 else tail

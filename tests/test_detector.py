@@ -226,7 +226,7 @@ PINNED_DETECTS = [
     ("0x1.063fd454fdf48p-10", "0x1.a567eb5777210p-2"),
     ("0x1.a3010a1e4f75ap-12", "0x1.549d74440c62dp-2"),
     ("0x0.0p+0", "0x1.0000000000000p+0"),
-    ("0x1.028ca6c3f3332p-1", "0x1.e497ca41defd5p-472"),
+    ("0x1.028ca6c3f3332p-1", "0x0.0p+0"),
     ("0x1.26dd2f9d47ae2p-5", "0x1.cf3942e42cf8ap-3"),
 ]
 
@@ -235,8 +235,8 @@ def pinned_windows(model):
     # Twenty Beta windows, k cycling through 2, 3, 10, 100 and 1000: one
     # in-distribution set, then three shifted ones. Then a window above
     # every theta (sd = 0, p = 1), one below every theta (equal per-instance
-    # means, whose rounded mean leaves a sd of a few ulp) and one holding
-    # theta_5 three times.
+    # means, whose rounded mean leaves a sd of a few ulp, p = 0) and one
+    # holding theta_5 three times.
     shapes = ((5.0, 1.0), (3.0, 1.0), (2.0, 2.0), (5.0, 1.0))
     windows = [
         substream(5100, i).beta(*shapes[i // 5], size=(2, 3, 10, 100, 1000)[i % 5])
@@ -469,14 +469,23 @@ class TestDetect:
             assert report.p_value in (0.0, 1.0)
         assert calls == []
 
+    def test_equal_means_are_degenerate_at_every_window_size(self, small_model):
+        # Scores below every threshold violate every coverage and give k
+        # equal per-instance means. Their rounded mean leaves a sd of a few
+        # ulp at some k (10 and 20 here), which must not reach the t CDF.
+        for k in (2, 3, 5, 10, 20, 30, 100):
+            report = detect(small_model, ScoreSample(np.full(k, -1.0)), alpha=0.05)
+            assert report.v_statistic > 0.0
+            assert report.p_value == 0.0, k
+
     @pytest.mark.parametrize("df", [1, 2])
     def test_upper_tail_matches_closed_form(self, df):
         # P(T >= t) on df = 1 and 2 in closed form. The k = df + 1 terms
         # of a window differ by multiples of 1/C, so close scores against
-        # models of up to C = 900 coverages give t in the hundreds. For
-        # k = 3, terms that all equal one b* give a sd of a few ulp from
-        # rounding their mean, so t reaches 1e15 and beyond, where
-        # 1 - cdf(t) would round to 0.
+        # models of up to C = 900 coverages give t in the hundreds, where
+        # 1 - cdf(t) would lose several digits. For k = 3, terms that
+        # all equal one b* have equal means, whose rounded mean leaves a sd
+        # of a few ulp; they are degenerate, with p = 0, not a t of 1e15.
         def upper_tail(t):
             if df == 1:
                 return math.atan(1.0 / t) / math.pi
@@ -485,6 +494,7 @@ class TestDetect:
 
         k = df + 1
         largest = 0.0
+        degenerate = 0
         for i in range(300):
             rng = substream(4400 + df, i)
             if i % 3:
@@ -504,21 +514,25 @@ class TestDetect:
             sd = float(means.std(ddof=1))
             if sd == 0.0 or means.mean() <= 0.0:
                 continue
+            p = detect(model, ScoreSample(window), alpha=0.05).p_value
+            if means.min() == means.max():
+                assert p == 0.0, i
+                degenerate += 1
+                continue
             t = float(means.mean()) / (sd / math.sqrt(k))
             largest = max(largest, t)
-            p = detect(model, ScoreSample(window), alpha=0.05).p_value
             assert p == pytest.approx(upper_tail(t), rel=1e-12, abs=0.0), (i, t)
-        assert largest > (1e15 if df == 2 else 500.0)
+        assert largest > 500.0
+        assert (degenerate > 0) == (df == 2)
 
     @staticmethod
     def _assert_report_equals(report, means, checks, alpha):
         n = means.size
         mean = float(means.mean())
-        sd = float(means.std(ddof=1))
-        if sd == 0.0:
+        if means.min() == means.max():
             p = 1.0 if mean <= 0.0 else 0.0
         else:
-            p = student_t_cdf(-mean / (sd / math.sqrt(n)), n - 1)
+            p = student_t_cdf(-mean / (float(means.std(ddof=1)) / math.sqrt(n)), n - 1)
         assert report.v_statistic == max(0.0, mean)
         assert report.p_value == p
         assert report.shift_detected == (p < alpha)

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import covshift.stats as stats_module
+from covshift import bounds
+from covshift.bounds import binomial_cdf, bound_at_most, solve_bound
 from covshift.stats import (
     TestResult as StatsTestResult,
 )
@@ -21,12 +24,14 @@ from covshift.stats import (
     t_test_welch_against,
     welch_moments,
 )
+import oracles
 from oracles import (
     ks_statistic_enumerated,
     median_bandwidth_loop,
     median_bandwidth_triu,
     mmd2_double_loop,
     mmd_permutation_loop,
+    plain_t_cdf,
     welch_from_samples,
     welch_moments_numpy,
 )
@@ -104,15 +109,6 @@ class TestSpecialFunctions:
             student_t_cdf(0.0, 0.0)
 
 
-def plain_t_cdf(t, df):
-    # student_t_cdf through the plain continued fraction, for every df.
-    if t == 0.0:
-        return 0.5
-    denom = df + t * t
-    tail = 0.5 * stats_module._incomplete_beta_xc(0.5 * df, 0.5, df / denom, t * t / denom)
-    return 1.0 - tail if t > 0 else tail
-
-
 def t_grid(df):
     # A log grid of |t| from 1e-8 to 1e150, both signs, and points around
     # the symmetry switch x = (a + 1)/(a + b + 2), at t^2 = 3 df / (df + 2).
@@ -124,8 +120,20 @@ def t_grid(df):
     return [s * t for t in ts for s in (1.0, -1.0)]
 
 
+def hex_or_raise(f, *args):
+    try:
+        return f(*args).hex()
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
 class TestStudentTTables:
-    """Integral df read the continued fraction from per-df tables."""
+    """The incomplete beta and its callers equal the plain loop of oracles bit for bit.
+
+    Integral df read the fraction's first terms from a per-df table, every
+    other caller computes them as it goes; both must give the plain loop's
+    bits.
+    """
 
     def test_integral_df_equal_the_plain_fraction_bit_for_bit(self):
         for df in [*range(1, 1001), 10**4, 10**5]:
@@ -139,29 +147,84 @@ class TestStudentTTables:
             raise AssertionError("a fractional df built a table")
 
         monkeypatch.setattr(stats_module, "_beta_table", no_table)
-        for df in (0.5, 2.5, 23.803387046967142, 1e5 + 0.5):
+        dfs = [0.5, 2.5, 23.803387046967142, 1e5 + 0.5]
+        dfs += [float(df) for df in 10.0 ** substream(23, 0).uniform(-1.0, 6.0, 40) if df % 1.0]
+        for df in dfs:
             for t in t_grid(df):
                 assert student_t_cdf(t, df).hex() == plain_t_cdf(t, df).hex(), (df, t)
 
+    def test_incomplete_beta_equals_the_plain_fraction(self):
+        # a and b log-spaced from 1e-2 to 1e6, x spread over (0, 1) and
+        # placed right around the symmetry switch.
+        params = [float(p) for p in np.logspace(-2, 6, 17)]
+        for a in params:
+            for b in params:
+                switch = (a + 1.0) / (a + b + 2.0)
+                xs = [0.0, 1e-300, 1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0]
+                xs += [math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1.0)]
+                for x in xs:
+                    want = hex_or_raise(oracles.incomplete_beta_xc, a, b, x, 1.0 - x)
+                    assert hex_or_raise(incomplete_beta, a, b, x) == want, (a, b, x)
+
+    def test_binomial_cdf_on_the_incomplete_beta_path(self, monkeypatch):
+        # m from 1e3 to 1e8, counts from the centre out to where the tails
+        # are summed instead, b a few standard deviations around x / m, and
+        # a query near m = 2e9 whose fraction exhausts the term cap on both
+        # sides. Every query goes through incomplete_beta.
+        calls = 0
+        real = bounds.incomplete_beta
+
+        def counting(a, b, x):
+            nonlocal calls
+            calls += 1
+            return real(a, b, x)
+
+        monkeypatch.setattr(bounds, "incomplete_beta", counting)
+        queries = 0
+        for m in (1001, 10**4, 123_457, 10**6, 10**7, 10**8):
+            thin = min(m // 100, bounds._TAIL_SUM_MAX_TERMS)
+            for x in sorted({thin, m // 7, m // 2, m - thin - 1}):
+                sd = math.sqrt(x * (m - x) / m)
+                for z in (-3.0, -1.0, -0.01, 0.0, 0.5, 3.0):
+                    b = (x + 0.5 + z * sd) / m
+                    y = 1.0 - b
+                    want = hex_or_raise(oracles.incomplete_beta_xc, m - x, x + 1, y, 1.0 - y)
+                    assert hex_or_raise(binomial_cdf, x, m, b) == want, (x, m, b)
+                    queries += 1
+        x, m = 993563119, 1987126238
+        want = hex_or_raise(oracles.incomplete_beta_xc, m - x, x + 1, 0.5, 0.5)
+        assert hex_or_raise(binomial_cdf, x, m, 0.5) == want == "ArithmeticError"
+        assert calls == queries + 1
+
+    def test_cdf_slope_equals_the_plain_front(self):
+        rng = substream(24, 0)
+        for _ in range(500):
+            m = int(10 ** rng.uniform(0.0, 8.0))
+            s = int(rng.integers(0, m))
+            b = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            want = math.exp(oracles.log_beta_front(s + 1, m - s, b, 1.0 - b)) / (b * (1.0 - b))
+            assert bounds._cdf_slope(s, m, b).hex() == want.hex(), (s, m, b)
+
     @pytest.mark.parametrize("terms", [1, 3, 8])
     def test_fractions_longer_than_the_table_keep_their_bits(self, terms, monkeypatch):
-        # Short tables end before the fraction converges, so the plain loop
-        # takes over; it must give the same bits.
+        # Short tables end before some fractions converge, which then run
+        # again over the whole term stream; they must give the same bits.
         monkeypatch.setattr(stats_module, "_CF_TABLE_TERMS", terms)
         stats_module._beta_table.cache_clear()
         ran_out = []
-        real = stats_module._continued_fraction_from_table
+        real = stats_module._lentz
 
-        def recording(table, x):
-            h = real(table, x)
-            ran_out.append(h is None)
+        def recording(term_source, a, b, x):
+            h = real(term_source, a, b, x)
+            if isinstance(term_source, tuple):
+                ran_out.append(h is None)
             return h
 
-        monkeypatch.setattr(stats_module, "_continued_fraction_from_table", recording)
+        monkeypatch.setattr(stats_module, "_lentz", recording)
         try:
             for df in (1, 2, 9, 99, 10**5):
-                lower_rows = stats_module._beta_table(0.5 * df, 0.5)[6][2]
-                assert len(lower_rows) == terms
+                _, lower, upper = stats_module._beta_table(0.5 * df, 0.5)
+                assert len(lower) == len(upper) == terms
                 for t in t_grid(df):
                     assert student_t_cdf(t, df).hex() == plain_t_cdf(t, df).hex(), (df, t)
         finally:
@@ -176,6 +239,39 @@ class TestStudentTTables:
         assert info.currsize == info.maxsize == stats_module._BETA_TABLE_CACHE
         student_t_cdf(-2.5, df)
         assert stats_module._beta_table.cache_info().hits == info.hits + 1
+
+    def test_a_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # With the term cap cut to 2, every path to the fraction raises
+        # ArithmeticError naming the incomplete beta's a, b and x, never a
+        # TypeError from an unconverged result, and bound_at_most still
+        # falls back to solving.
+        q = (10**6, 500_000, 0.01)
+        b_star = solve_bound(*q)
+        monkeypatch.setattr(stats_module, "_MAX_TERMS", 2)
+        stats_module._beta_table.cache_clear()
+        try:
+            # Each incomplete beta and each df below evaluates one point on
+            # either side of the symmetry switch.
+            cases = [
+                (lambda: incomplete_beta(30.0, 40.0, 0.4), (30.0, 40.0, 0.4)),
+                (lambda: incomplete_beta(30.0, 40.0, 0.5), (30.0, 40.0, 0.5)),
+                (lambda: binomial_cdf(500_000, 10**6, 0.5), (500_000, 500_001, 0.5)),
+            ]
+            for df, t in itertools.product((9, 9.0, 9.5), (0.5, 3.0)):
+                x = df / (df + t * t)
+                cases.append((lambda df=df, t=t: student_t_cdf(-t, df), (0.5 * df, 0.5, x)))
+            for call, (a, b, x) in cases:
+                with pytest.raises(ArithmeticError) as info:
+                    call()
+                assert f"(a={a}, b={b}, x={x})" in str(info.value)
+
+            solved = []
+            monkeypatch.setattr(bounds, "solve_bound", lambda *args: solved.append(args) or b_star)
+            assert bound_at_most(*q, b_star)
+            assert not bound_at_most(*q, b_star - 1.0 / bounds._GRID)
+            assert solved == [q, q]
+        finally:
+            stats_module._beta_table.cache_clear()
 
 
 class TestKsTwoSample:
