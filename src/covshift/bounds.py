@@ -27,7 +27,6 @@ of its counts below m with it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,15 +97,13 @@ def _lower_tail_sum(m: int, x: int, b: float) -> float:
     return float(np.exp(log_terms).sum())
 
 
-@lru_cache(maxsize=200_000, typed=True)
 def solve_bound(m: int, successes: int, delta: float) -> float:
     """Minimal b with BinomialCDF(successes; m, b) <= 1 - delta.
 
     m and successes must be integers with m >= 1 and 0 <= successes <= m,
     and 0 < delta < 1. For successes == m the CDF is identically 1, so no
     b meets the constraint; the result is then the exact Clopper-Pearson
-    lower bound for a full-success sample, delta ** (1 / m). Cached on the
-    arguments and their types, so 10.0 is checked rather than served as 10.
+    lower bound for a full-success sample, delta ** (1 / m).
     """
     _check_query(m, successes, delta)
     if successes == m:

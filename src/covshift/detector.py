@@ -2,14 +2,14 @@
 
 Fitting applies SGC once per target coverage on a uniformly spread grid
 over [0.1, 1) and keeps the resulting (bound, threshold) pairs. Detection
-computes the bound-violation statistic V over a window and runs a
-one-sided one-sample t-test on the per-instance violation terms; the
-window is flagged as shifted when the p-value falls below alpha.
+counts a window's scores into the bins between the distinct thresholds,
+reads from those counts the violation statistic V (the mean violation
+gap) and a one-sided one-sample t-test on the per-instance violation
+means, and flags the window as shifted when the p-value falls below alpha.
 
 A fitted model is a handful of scalars, so detection cost depends only on
-the window size, never on the size of the detection-training sample. The
-model builds its thresholds and bounds into two read-only arrays once, so
-a window pays only for the statistic's own arithmetic.
+the window size, never on the size of the detection-training sample, and
+the statistic does not depend on the order of the window's scores.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .scores import ConfidenceFunction, ScoreSample
 from .sgc import CoverageBound, run_sgc
-from .stats import student_t_cdf, welch_moments
+from .stats import student_t_cdf
 
 __all__ = [
     "FORMAT_VERSION",
@@ -66,17 +66,19 @@ class ModelFormatError(ValueError):
 class DetectorModel:
     """Fitted set of coverage bounds plus the fit configuration.
 
-    thetas, a (C, 1) column, and b_stars, a (C,) array, hold the pairs'
-    thresholds and bounds for detect, and c_targets their target
-    coverages. All are read-only, built from pairs when the model is made,
-    and left out of ==, hash, repr and the file.
+    edges holds the D distinct thresholds in ascending order, selected is
+    a (C, D + 1) 0/1 int64 table whose row j marks the bins at or above
+    theta_j, b_stars holds the bounds and c_targets the target coverages.
+    All are read-only, built from pairs when the model is made, and left
+    out of ==, hash, repr and the file.
     """
 
     pairs: tuple[CoverageBound, ...]
     delta: float
     kappa_name: str
     m: int
-    thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    selected: np.ndarray = field(init=False, repr=False, compare=False)
     b_stars: np.ndarray = field(init=False, repr=False, compare=False)
     c_targets: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -96,11 +98,18 @@ class DetectorModel:
             )
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
-        thetas = np.array([[p.theta] for p in self.pairs])
+        thresholds = [p.theta for p in self.pairs]
+        # sorted(set()) rather than np.unique, whose first call imports numpy.ma.
+        edges = np.array(sorted(set(thresholds)))
+        # Bin i holds the scores at or above edges[:i] and below edges[i:],
+        # so theta_j selects every bin past its own edge.
+        first = np.searchsorted(edges, thresholds, side="right")
+        selected = (np.arange(edges.size + 1) >= first[:, None]).astype(np.int64)
         b_stars = np.array([p.b_star for p in self.pairs])
-        thetas.flags.writeable = False
-        b_stars.flags.writeable = False
-        object.__setattr__(self, "thetas", thetas)
+        for array in (edges, selected, b_stars):
+            array.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "selected", selected)
         object.__setattr__(self, "b_stars", b_stars)
         object.__setattr__(self, "c_targets", tuple(targets))
 
@@ -159,20 +168,20 @@ def fit(
 def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> DetectionReport:
     """Test one window for distribution shift at significance alpha.
 
-    For each coverage j the window's empirical coverage c_hat_j at the
-    fitted threshold is compared with the fitted bound b*_j. A violated
-    coverage (c_hat_j <= b*_j, equality counts) contributes the term
-    b*_j - g_j(x_i) for every window instance i, where g_j(x_i) is 1 when
-    the score is selected (>= theta_j) and 0 otherwise; a held coverage
-    contributes zeros. V is the mean of all k * C_target terms.
+    The k window scores are counted into the bins between the model's
+    distinct thresholds. Coverage j's empirical coverage c_hat_j is its
+    selected count (scores >= theta_j) over k; it is violated when c_hat_j
+    <= b*_j, equality included. V is the mean violation gap: b*_j - c_hat_j
+    summed over the violated coverages, over C.
 
-    The test is a one-sided one-sample t-test of the k per-instance
-    violation means (each instance's terms averaged across coverages)
-    against zero. Testing at instance granularity respects the strong
-    dependence between coverages within one window; pooling all
-    k * C_target terms as i.i.d. would reject far above alpha on
-    in-distribution windows. An all-identical vector degenerates to
-    p = 1 when the mean is <= 0 and p = 0 otherwise.
+    Instance i's violation mean is (sum of the violated b* - s_i) / C, where
+    s_i counts the violated coverages that select it; those means average
+    to V. The test is a one-sided one-sample t-test of the k means against
+    zero, with their spread read exactly from the counts. Testing at
+    instance granularity respects the strong dependence between coverages
+    within one window; pooling all k * C terms as i.i.d. would reject far
+    above alpha on in-distribution windows. Equal means (every s_i alike)
+    give p = 1 when V is 0 and p = 0 otherwise.
     """
     n = len(window)
     if n < 2:
@@ -184,28 +193,23 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
             f"window kappa {window.kappa_name!r} does not match "
             f"model kappa {model.kappa_name!r}"
         )
-    b_stars = model.b_stars
-    selected = window.scores >= model.thetas
-    c_hat = np.add.reduce(selected, axis=1, dtype=np.float64) / n
+    edges, selected, b_stars = model.edges, model.selected, model.b_stars
+    counts = np.bincount(np.searchsorted(edges, window.scores, "right"), minlength=edges.size + 1)
+    # Integer operands go through @, exact in any order; floats are summed
+    # only with np.add.reduce, whose order a row of a batch would share.
+    c_hat = (selected @ counts) / n
     violated = c_hat <= b_stars
-    terms = np.where(violated[:, None], b_stars[:, None] - selected, 0.0)
-    c = len(b_stars)
-    means = np.add.reduce(terms, axis=0) / c
-    mean, var, _ = welch_moments(means)
-    if mean < -1e-9:
-        raise AssertionError(f"violation statistic must be nonnegative, got {mean}")
-    v = max(0.0, mean)
-    sd = math.sqrt(var)
-    # An instance's mean is the sum of the violated b* less its count of
-    # selected violated coverages, over C. Means of different counts differ
-    # by at least 1/C, so their sd is at least 1/(C sqrt(2(k - 1))) and
-    # sd C sqrt(k) at least 1/sqrt(2). Below 0.5 the means can still be
-    # equal with a sd of a few ulp from rounding their mean, so equality is
-    # checked exactly there.
-    if sd * c * math.sqrt(n) < 0.5 and means.min() == means.max():
-        p = 1.0 if mean <= 0.0 else 0.0
+    c = b_stars.size
+    v = float(np.add.reduce(np.where(violated, b_stars - c_hat, 0.0)) / c)
+    s = violated @ selected
+    sum_s = int(counts @ s)
+    # k^2 (k - 1) times the variance of the s_i, a Python int at any k.
+    spread = n * int(counts @ (s * s)) - sum_s * sum_s
+    if spread == 0:
+        p = 1.0 if v == 0.0 else 0.0
     else:
-        t = mean / (sd / math.sqrt(n))
+        # The means have sd sqrt(spread / (k (k - 1))) / C, so t = V sqrt(k) / sd.
+        t = v * (c * n) * math.sqrt((n - 1) / spread)
         # Upper tail as the CDF at -t: 1 - cdf(t) rounds to 0 below about 1e-16.
         p = student_t_cdf(-t, n - 1)
     rows = zip(model.c_targets, b_stars.tolist(), c_hat.tolist(), violated.tolist())

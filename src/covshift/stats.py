@@ -531,8 +531,7 @@ class WelchMoments(NamedTuple):
 def welch_moments(a) -> WelchMoments:
     """The reference side of t_test_two_sample_welch, computed once.
 
-    detector.detect reads its window's t-test moments from it too. a is a
-    1-D sample of n >= 2 values. mean = sum / n and var =
+    a is a 1-D sample of n >= 2 values. mean = sum / n and var =
     sum((a - mean)^2) / (n - 1), each sum one np.add.reduce: the same
     operations in the same order as np.mean and np.var(ddof=1), whose
     Python wrappers cost more than the arithmetic on small windows, so

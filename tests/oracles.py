@@ -6,9 +6,10 @@ bound solver, a plain double loop for MMD and one pass over the pooled
 pairs for its median-heuristic bandwidth, one kernel re-indexing per
 permutation for the MMD permutation test (sharing only the seeded
 substreams), one pass per coverage pair for the detector's violation
-terms, hand ECDF enumeration for KS, the Welch t-test computed from
-both raw samples in one function (sharing only the t CDF), and a count
-over every positive/negative pair for AUROC. They must stay independent
+terms and exact rational arithmetic per instance for its statistic, hand
+ECDF enumeration for KS, the Welch t-test computed from both raw samples
+in one function (sharing only the t CDF), and a count over every
+positive/negative pair for AUROC. They must stay independent
 of the implementations they check. The exceptions must agree bit for
 bit with the code they check: bisection_bound, the plain bisection the
 bracketed solver replays, shares binomial_cdf on purpose, stepwise_sgc
@@ -22,6 +23,7 @@ which the library's table of cached terms must reproduce.
 
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 
@@ -253,6 +255,39 @@ def violation_means_loop(model, window):
             terms[j] = pair.b_star - selected
         checks.append((pair.c_target, pair.b_star, c_hat, violated))
     return terms.mean(axis=0), tuple(checks)
+
+
+def violation_statistic_exact(model, window):
+    """(V, t) of the detector's statistic in exact rational arithmetic.
+
+    Coverage j counts the window scores >= theta_j one comparison at a
+    time and is violated when its c_hat = count / k, the float a report
+    states, is at most b*_j. Instance i's violation mean is (sum of the
+    violated Fraction(b*) - s_i) / C, with s_i the Python int count of
+    violated coverages that select it, so V, the exact mean of those k
+    means, is the sum of Fraction(b*_j) - Fraction(count_j, k) over the
+    violated coverages, over C. Returns V as a Fraction and t = V sqrt(k)
+    / sd of the means as the float nearest it (to within the rounding of
+    one square root), or None for t when every s_i is equal.
+    """
+    scores = [float(x) for x in window.scores]
+    k, c = len(scores), len(model.pairs)
+    violated = []
+    v = Fraction(0)
+    for pair in model.pairs:
+        count = sum(1 for x in scores if x >= pair.theta)
+        if count / k <= pair.b_star:
+            violated.append(pair.theta)
+            v += Fraction(pair.b_star) - Fraction(count, k)
+    v /= c
+    s = [sum(1 for theta in violated if x >= theta) for x in scores]
+    mean_s = Fraction(sum(s), k)
+    squares = sum((si - mean_s) ** 2 for si in s)
+    if squares == 0:
+        return v, None
+    # sd^2 = squares / (C^2 (k - 1)), so t^2 = V^2 k C^2 (k - 1) / squares.
+    t_squared = v * v * k * c * c * (k - 1) / squares
+    return v, math.copysign(math.sqrt(float(t_squared)), v)
 
 
 def welch_from_samples(a, b):

@@ -115,19 +115,11 @@ class TestSolveBound:
                     if b > 1e-8:
                         assert binomial_cdf(s, m, b - 1e-8) > 1.0 - delta
 
-    def test_repeated_query_returns_cached_result(self):
-        # Cold-start timings empty the cache through solve_bound.cache_clear.
-        solve_bound.cache_clear()
-        first = solve_bound(50, 40, 0.05)
-        assert solve_bound(50, 40, 0.05) is first
-        assert solve_bound.cache_info().hits == 1
-
     def test_bisection_tolerance_documented(self):
         assert BISECTION_TOL == 1e-10
 
     def test_float_count_is_checked_after_its_integer_was_cached(self):
-        # A cache keyed without types would serve 10.0 the entry of 10.
-        solve_bound.cache_clear()
+        # 10.0 names no binomial, even right after 10 was solved.
         solve_bound(10, 3, 0.1)
         with pytest.raises(ValueError, match="m must be an integer"):
             solve_bound(10.0, 3, 0.1)
@@ -135,7 +127,6 @@ class TestSolveBound:
             solve_bound(10, 3.0, 0.1)
 
     def test_numpy_integer_counts_accepted(self):
-        solve_bound.cache_clear()
         assert solve_bound(np.int64(5000), np.int64(4000), 0.01) == solve_bound(5000, 4000, 0.01)
 
     def test_query_validation(self):
@@ -184,7 +175,7 @@ def flat_rounding_queries():
 
 
 def cold_solve(q, monkeypatch):
-    """b_star of q solved from an empty cache, and its binomial_cdf calls."""
+    """b_star of q and the binomial_cdf calls its solve makes."""
     calls = 0
     cdf = bounds.binomial_cdf
 
@@ -193,11 +184,9 @@ def cold_solve(q, monkeypatch):
         calls += 1
         return cdf(*args)
 
-    solve_bound.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(bounds, "binomial_cdf", counting)
         b_star = solve_bound(*q)
-    solve_bound.cache_clear()
     return b_star, calls
 
 
@@ -209,7 +198,6 @@ class TestBracketedSolve:
     """
 
     def assert_matches_oracle(self, queries):
-        solve_bound.cache_clear()
         mismatched = [q for q in queries if solve_bound(*q) != bisection_bound(*q)]
         assert not mismatched, mismatched[:5]
 
@@ -298,9 +286,12 @@ class TestBoundAtMost:
         def failing(*args):
             raise ArithmeticError("continued fraction failed to converge")
 
+        solved = []
         monkeypatch.setattr(bounds, "binomial_cdf", failing)
+        monkeypatch.setattr(bounds, "solve_bound", lambda *args: solved.append(args) or b_star)
         assert bound_at_most(*q, b_star)
         assert not bound_at_most(*q, b_star - 1.0 / bounds._GRID)
+        assert solved == [q, q]
 
     def test_query_validation(self):
         with pytest.raises(ValueError, match="delta"):
@@ -338,7 +329,7 @@ class TestBoundAtMost:
         assert calls == 0
 
     def test_cold_fit_solves_only_the_kept_pairs(self, fit_scores, monkeypatch):
-        calls = 0
+        calls = solves = 0
         cdf = bounds.binomial_cdf
 
         def counting(*args):
@@ -346,12 +337,16 @@ class TestBoundAtMost:
             calls += 1
             return cdf(*args)
 
+        def counting_solves(*args):
+            nonlocal solves
+            solves += 1
+            return solve_bound(*args)
+
         monkeypatch.setattr(bounds, "binomial_cdf", counting)
-        solve_bound.cache_clear()
+        monkeypatch.setattr(bounds, "solve_bound", counting_solves)
+        monkeypatch.setattr(sgc, "solve_bound", counting_solves)
         fit(ScoreSample(fit_scores), delta=0.01, c_target_count=10)
-        solves = solve_bound.cache_info()
-        solve_bound.cache_clear()
-        assert solves.hits + solves.misses == 10
+        assert solves == 10
         assert calls <= 100
 
 
@@ -379,16 +374,18 @@ class TestSuccessThreshold:
         assert not mismatched, mismatched[:5]
 
     def test_cdf_that_fails_to_converge_falls_back_to_the_solve(self, monkeypatch):
-        # Every decision then solves its bound, served from the cache that
-        # the solve-based threshold fills here.
+        # Every decision then solves its bound, here read from the bounds
+        # solved before the CDF began to fail.
         m, delta, c = 40, 0.01, 0.7
-        expected = max(s for s in range(m) if solve_bound(m, s, delta) <= c)
+        solved = {(m, s, delta): solve_bound(m, s, delta) for s in range(m)}
+        expected = max(q[1] for q, b_star in solved.items() if b_star <= c)
         assert expected < m - 1
 
         def failing(*args):
             raise ArithmeticError("continued fraction failed to converge")
 
         monkeypatch.setattr(bounds, "binomial_cdf", failing)
+        monkeypatch.setattr(bounds, "solve_bound", lambda *q: solved[q])
         assert success_threshold(m, delta, c) == expected
 
     def test_query_validation(self):

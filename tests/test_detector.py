@@ -6,6 +6,7 @@ import os
 import pickle
 import stat
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from covshift.eval import BetaDist, gen_scores
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
 from covshift.stats import student_t_cdf, substream
-from oracles import violation_means_loop
+from oracles import violation_means_loop, violation_statistic_exact
 
 
 def beta_scores(a, b, n, stream, index=0):
@@ -191,9 +192,7 @@ class TestPinnedFit:
             return real_incomplete_beta(*args)
 
         monkeypatch.setattr(bounds, "incomplete_beta", counting)
-        bounds.solve_bound.cache_clear()
         model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
-        bounds.solve_bound.cache_clear()
         got = [
             (p.b_star.hex(), p.theta.hex(), p.empirical_coverage_at_fit.hex())
             for p in model.pairs
@@ -206,36 +205,36 @@ class TestPinnedFit:
 # each of pinned_windows(pinned_model), in order.
 PINNED_DETECTS = [
     ("0x1.47b3c7a333333p-7", "0x0.0p+0"),
-    ("0x1.0b8d587955555p-5", "0x1.b8d566bf0b394p-3"),
-    ("0x1.eb6c0e930a3d6p-5", "0x1.4a941ecf6bd8cp-3"),
-    ("0x1.05ee7e0418933p-9", "0x1.7e59ab4a1fa2cp-2"),
-    ("0x1.6d678b295e9e6p-10", "0x1.8114b367f221ep-2"),
-    ("0x1.603b4ae5cccccp-3", "0x1.3b95b1c792d78p-2"),
-    ("0x1.e8b4fc9e22221p-5", "0x1.566f637dba7a4p-2"),
-    ("0x1.708ea354a3d70p-4", "0x1.50d6d4e2d5006p-3"),
-    ("0x1.0e4b2e8489374p-3", "0x1.c7e9cedf742c6p-14"),
-    ("0x1.0a6708d5a3056p-3", "0x1.485a8bfeb0fd7p-111"),
-    ("0x1.fff580decccccp-4", "0x1.68e2835b7d900p-2"),
-    ("0x1.e2f72b65c4444p-2", "0x1.44e986d19843ap-9"),
+    ("0x1.0b8d587955556p-5", "0x1.b8d566bf0b390p-3"),
+    ("0x1.eb6c0e930a3d6p-5", "0x1.4a941ecf6bd94p-3"),
+    ("0x1.05ee7e041893ap-9", "0x1.7e59ab4a1fa2ap-2"),
+    ("0x1.6d678b295e9dap-10", "0x1.8114b367f2220p-2"),
+    ("0x1.603b4ae5ccccdp-3", "0x1.3b95b1c792d78p-2"),
+    ("0x1.e8b4fc9e22223p-5", "0x1.566f637dba7a4p-2"),
+    ("0x1.708ea354a3d70p-4", "0x1.50d6d4e2d4ffep-3"),
+    ("0x1.0e4b2e8489376p-3", "0x1.c7e9cedf742a9p-14"),
+    ("0x1.0a6708d5a3055p-3", "0x1.485a8bfeb107cp-111"),
+    ("0x1.fff580deccccdp-4", "0x1.68e2835b7d900p-2"),
+    ("0x1.e2f72b65c4445p-2", "0x1.44e986d19843ap-9"),
     ("0x1.b32dc8692e146p-2", "0x1.d04102b65190cp-22"),
-    ("0x1.b433ed465d2f1p-2", "0x1.3fbc913a8b72fp-148"),
-    ("0x1.a27cd5ed7b15ap-2", "0x0.0p+0"),
-    ("0x1.1680cf9600000p-3", "0x1.0ff51164399c6p-2"),
-    ("0x1.6500571211111p-3", "0x1.698fb7c445338p-3"),
-    ("0x1.3f65f1ca147aep-5", "0x1.047d7954461eap-2"),
-    ("0x1.063fd454fdf48p-10", "0x1.a567eb5777210p-2"),
-    ("0x1.a3010a1e4f75ap-12", "0x1.549d74440c62dp-2"),
+    ("0x1.b433ed465d2f2p-2", "0x1.3fbc913a8b72fp-148"),
+    ("0x1.a27cd5ed7b15bp-2", "0x0.0p+0"),
+    ("0x1.1680cf9600000p-3", "0x1.0ff51164399cbp-2"),
+    ("0x1.6500571211112p-3", "0x1.698fb7c445338p-3"),
+    ("0x1.3f65f1ca147adp-5", "0x1.047d7954461eap-2"),
+    ("0x1.063fd454fdf33p-10", "0x1.a567eb5777216p-2"),
+    ("0x1.a3010a1e4f733p-12", "0x1.549d74440c63bp-2"),
     ("0x0.0p+0", "0x1.0000000000000p+0"),
-    ("0x1.028ca6c3f3332p-1", "0x0.0p+0"),
-    ("0x1.26dd2f9d47ae2p-5", "0x1.cf3942e42cf8ap-3"),
+    ("0x1.028ca6c3f3333p-1", "0x0.0p+0"),
+    ("0x1.26dd2f9d47ae3p-5", "0x1.cf3942e42cf8ap-3"),
 ]
 
 
 def pinned_windows(model):
     # Twenty Beta windows, k cycling through 2, 3, 10, 100 and 1000: one
     # in-distribution set, then three shifted ones. Then a window above
-    # every theta (sd = 0, p = 1), one below every theta (equal per-instance
-    # means, whose rounded mean leaves a sd of a few ulp, p = 0) and one
+    # every theta (no coverage violated, p = 1), one below every theta
+    # (every coverage violated and every instance alike, p = 0) and one
     # holding theta_5 three times.
     shapes = ((5.0, 1.0), (3.0, 1.0), (2.0, 2.0), (5.0, 1.0))
     windows = [
@@ -247,16 +246,29 @@ def pinned_windows(model):
     return [*windows, np.full(10, 2.0), np.full(10, -1.0), holding_theta]
 
 
+def assert_matches_exact_statistic(report, model, window):
+    """V within 2**-50 of the exact V, and p from the exact t or the degenerate rule."""
+    v, t = violation_statistic_exact(model, window)
+    assert abs(Fraction(report.v_statistic) - v) <= Fraction(1, 2**50)
+    if t is None:
+        assert report.p_value == (1.0 if v == 0 else 0.0)
+    else:
+        p = student_t_cdf(-t, len(window) - 1)
+        assert report.p_value == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
 class TestPinnedDetect:
     def test_detect_floats_are_pinned(self, pinned_model):
-        reports = [
-            detect(pinned_model, ScoreSample(w), alpha=0.05) for w in pinned_windows(pinned_model)
-        ]
+        windows = [ScoreSample(w) for w in pinned_windows(pinned_model)]
+        reports = [detect(pinned_model, w, alpha=0.05) for w in windows]
         got = [(r.v_statistic.hex(), r.p_value.hex()) for r in reports]
         assert got == PINNED_DETECTS
+        # Each pin is the exact statistic to within its rounding.
+        for report, window in zip(reports, windows):
+            assert_matches_exact_statistic(report, pinned_model, window)
         # The k = 2 window 0 has two equal per-instance means and a positive
-        # mean, so its sd is 0 and its p is 0; the last window's fifth
-        # coverage selects the theta-valued scores and holds.
+        # V, so its p is 0; the last window's fifth coverage selects the
+        # theta-valued scores and holds.
         assert reports[0].p_value == 0.0 and reports[0].v_statistic > 0.0
         assert [c.violated for c in reports[-1].per_coverage] == [False] * 7 + [True] * 3
 
@@ -264,22 +276,41 @@ class TestPinnedDetect:
 class TestModelColumns:
     def test_read_only_columns_of_the_pairs(self, small_model):
         c = len(small_model.pairs)
-        assert small_model.thetas.shape == (c, 1)
-        assert small_model.b_stars.shape == (c,)
-        assert small_model.thetas.dtype == small_model.b_stars.dtype == np.float64
-        assert small_model.thetas[:, 0].tolist() == [p.theta for p in small_model.pairs]
+        thetas = [p.theta for p in small_model.pairs]
+        edges, selected = small_model.edges, small_model.selected
+        assert edges.dtype == small_model.b_stars.dtype == np.float64
+        assert edges.tolist() == sorted(set(thetas))
+        assert selected.shape == (c, edges.size + 1) and selected.dtype == np.int64
         assert small_model.b_stars.tolist() == [p.b_star for p in small_model.pairs]
-        for column in (small_model.thetas, small_model.b_stars):
+        # Bin i holds the scores in [edges[i - 1], edges[i]); row j marks
+        # the bins at or above theta_j.
+        lower = [-math.inf, *edges.tolist()]
+        for row, theta in zip(selected.tolist(), thetas):
+            assert row == [int(lo >= theta) for lo in lower]
+        for column in (edges, selected, small_model.b_stars):
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.0
+                column[0] = 0
+
+    def test_tied_thresholds_share_an_edge(self):
+        pairs = [
+            CoverageBound(c, b, theta, 1, 0.5)
+            for c, b, theta in [(0.1, 0.1, 0.9), (0.2, 0.2, 0.5), (0.3, 0.3, 0.5), (0.4, 0.4, 0.1)]
+        ]
+        model = manual_model(pairs)
+        assert model.edges.tolist() == [0.1, 0.5, 0.9]
+        assert model.selected.tolist() == [
+            [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1], [0, 1, 1, 1]
+        ]
 
     def test_ignored_by_eq_hash_and_repr(self, small_model):
         twin = replace(small_model)
-        assert twin.thetas is not small_model.thetas
+        assert twin.edges is not small_model.edges
+        assert twin.selected is not small_model.selected
         assert twin == small_model
         assert hash(twin) == hash(small_model)
-        assert "thetas" not in repr(small_model) and "b_stars" not in repr(small_model)
+        for name in ("edges", "selected", "b_stars"):
+            assert name not in repr(small_model)
         assert twin != replace(small_model, m=small_model.m + 1)
 
     def test_rebuilt_by_replace(self, small_model):
@@ -287,18 +318,22 @@ class TestModelColumns:
             replace(p, b_star=p.b_star / 2, theta=p.theta + 1.0) for p in small_model.pairs
         )
         model = replace(small_model, pairs=pairs)
-        assert model.thetas[:, 0].tolist() == [p.theta for p in pairs]
+        assert model.edges.tolist() == sorted({p.theta for p in pairs})
+        assert model.selected.tolist() == small_model.selected.tolist()
         assert model.b_stars.tolist() == [p.b_star for p in pairs]
-        assert not model.thetas.flags.writeable and not model.b_stars.flags.writeable
-        with pytest.raises(ValueError, match="init=False"):
-            replace(small_model, thetas=small_model.thetas)
+        for column in (model.edges, model.selected, model.b_stars):
+            assert not column.flags.writeable
+        for name in ("edges", "selected"):
+            with pytest.raises(ValueError, match="init=False"):
+                replace(small_model, **{name: getattr(small_model, name)})
 
     def test_survive_pickle(self, small_model):
         model = pickle.loads(pickle.dumps(small_model))
         assert model == small_model
-        assert model.thetas.tolist() == small_model.thetas.tolist()
-        assert model.b_stars.tolist() == small_model.b_stars.tolist()
-        assert not model.thetas.flags.writeable and not model.b_stars.flags.writeable
+        for name in ("edges", "selected", "b_stars"):
+            column = getattr(model, name)
+            assert column.tolist() == getattr(small_model, name).tolist()
+            assert not column.flags.writeable
 
 
 class TestSolvedDecisions:
@@ -308,28 +343,32 @@ class TestSolvedDecisions:
         # bound and every solve bisects without a bracket. The decisions
         # are the bound_at_most calls, made by the success threshold's
         # search and by steps where every score succeeds.
-        decisions = 0
-        at_most = bounds.bound_at_most
+        decisions = solves = 0
+        at_most, solve = bounds.bound_at_most, bounds.solve_bound
 
-        def counting(*args):
+        def counting_decisions(*args):
             nonlocal decisions
             decisions += 1
             return at_most(*args)
 
+        def counting_solves(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
+
         monkeypatch.setattr(bounds, "_margin", lambda delta, limit: math.inf)
-        monkeypatch.setattr(bounds, "bound_at_most", counting)
-        monkeypatch.setattr(sgc, "bound_at_most", counting)
-        bounds.solve_bound.cache_clear()
+        monkeypatch.setattr(bounds, "bound_at_most", counting_decisions)
+        monkeypatch.setattr(sgc, "bound_at_most", counting_decisions)
+        monkeypatch.setattr(bounds, "solve_bound", counting_solves)
+        monkeypatch.setattr(sgc, "solve_bound", counting_solves)
         model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
-        solves = bounds.solve_bound.cache_info()
-        bounds.solve_bound.cache_clear()
         got = [
             (p.b_star.hex(), p.theta.hex(), p.empirical_coverage_at_fit.hex())
             for p in model.pairs
         ]
         assert got == PINNED_FITS[m]
         assert decisions > 0
-        assert solves.hits + solves.misses == decisions + len(model.pairs)
+        assert solves == decisions + len(model.pairs)
 
 
 class TestViolationTerms:
@@ -419,8 +458,9 @@ class TestDetect:
         # Models fitted on half-tied samples at every C in [1, 20], and the
         # same models with b* snapped to a multiple of 1/20 so that c_hat == b*
         # occurs; windows of k in [2, 200] drawn around the training
-        # distribution, some holding threshold values. Every report field,
-        # value and type, must equal the one-coverage-at-a-time definition.
+        # distribution, some holding threshold values. The coverage checks,
+        # value and type, must equal the one-coverage-at-a-time definition,
+        # and V and p the exact statistic to within their rounding.
         ks = [2, 3, 4, 10, 20, 37, 40, 100, 200]
         for c_count, snapped in itertools.product(range(1, 21), (False, True)):
             rng = substream(4300 + snapped, c_count)
@@ -440,9 +480,33 @@ class TestDetect:
                     window[positions] = rng.choice(thetas, size=n_exact)
                 if i % 5 == 4:
                     window = np.round(window * 20.0) / 20.0
-                report = detect(model, ScoreSample(window), alpha=0.05)
-                means, checks = violation_means_loop(model, ScoreSample(window))
-                self._assert_report_equals(report, means, checks, alpha=0.05)
+                sample = ScoreSample(window)
+                report = detect(model, sample, alpha=0.05)
+                self._assert_report_equals(report, model, sample, alpha=0.05)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
+    def test_window_order_changes_no_bit(self, pinned_model, k):
+        # The report is a function of the window's bin counts, so a shuffled
+        # window and the sorted one give the same floats, on the pinned fit
+        # and on fits of half-tied samples against windows on their ties.
+        models = [pinned_model]
+        for c_count in (3, 10):
+            rng = substream(4500, c_count)
+            sample = np.concatenate([rng.integers(0, 20, size=200) / 20.0, rng.random(200)])
+            models.append(fit(ScoreSample(sample), delta=0.05, c_target_count=c_count))
+        for i, model in enumerate(models):
+            for j in range(20):
+                rng = substream(4600 + k, 20 * i + j)
+                window = rng.beta(1.0 + j % 3, 1.0, size=k)
+                if j % 2:
+                    window = np.round(window * 20.0) / 20.0
+                shuffled, ordered = (
+                    detect(model, ScoreSample(w), alpha=0.05)
+                    for w in (rng.permutation(window), np.sort(window))
+                )
+                assert shuffled.v_statistic.hex() == ordered.v_statistic.hex(), (i, j)
+                assert shuffled.p_value.hex() == ordered.p_value.hex(), (i, j)
+                assert shuffled.per_coverage == ordered.per_coverage
 
     def test_t_cdf_called_once_per_window_with_spread(self, small_model, monkeypatch):
         # detect reads the t CDF through covshift.detector's module global,
@@ -526,17 +590,12 @@ class TestDetect:
         assert (degenerate > 0) == (df == 2)
 
     @staticmethod
-    def _assert_report_equals(report, means, checks, alpha):
-        n = means.size
-        mean = float(means.mean())
-        if means.min() == means.max():
-            p = 1.0 if mean <= 0.0 else 0.0
-        else:
-            p = student_t_cdf(-mean / (float(means.std(ddof=1)) / math.sqrt(n)), n - 1)
-        assert report.v_statistic == max(0.0, mean)
-        assert report.p_value == p
-        assert report.shift_detected == (p < alpha)
-        assert report.window_size == n
+    def _assert_report_equals(report, model, window, alpha):
+        _, checks = violation_means_loop(model, window)
+        assert_matches_exact_statistic(report, model, window)
+        assert type(report.v_statistic) is type(report.p_value) is float
+        assert report.shift_detected == (report.p_value < alpha)
+        assert report.window_size == len(window)
         assert all(type(c) is CoverageCheck for c in report.per_coverage)
         assert [tuple(c) for c in report.per_coverage] == list(checks)
         assert [tuple(map(type, c)) for c in report.per_coverage] == [
