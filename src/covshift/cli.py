@@ -43,9 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_score_file(path: str, fmt: str, kappa: str, header: bool) -> ScoreSample:
-    if fmt == "raw":
-        return load_scores(path, "raw_scores", cf=ConfidenceFunction.from_name(kappa))
-    return load_scores(path, "softmax_csv", cf=ConfidenceFunction.from_name(kappa), header=header)
+    fmt = "raw_scores" if fmt == "raw" else "softmax_csv"
+    return load_scores(path, fmt, cf=ConfidenceFunction.from_name(kappa), header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +128,7 @@ def _load_vector_pools(args):
     from .baselines import VectorKind, load_vectors
 
     if args.format == "raw":
-        # --header does not apply to raw files.
-        loader = lambda path: _as_vectors(load_scores(path, "raw_scores"))
+        loader = lambda path: _as_vectors(load_scores(path, "raw_scores", header=args.header))
     else:
         kind = VectorKind(args.format)
         loader = lambda path: load_vectors(path, kind, header=args.header)

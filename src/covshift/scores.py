@@ -255,10 +255,11 @@ def load_scores(
     raw_scores holds one decimal float per line, a one-column CSV, and is
     taken verbatim (kappa_name raw_passthrough unless cf overrides the label).
     softmax_csv rows are validated as probability vectors and converted
-    through the given confidence function.
+    through the given confidence function. header skips the first line of
+    either format.
     """
     if format == "raw_scores":
-        matrix, first_line = read_csv_matrix(path)
+        matrix, first_line = read_csv_matrix(path, header=header)
         if matrix.shape[1] != 1:
             raise ValueError(
                 f"{path}: line {first_line}: raw score file has {matrix.shape[1]} "

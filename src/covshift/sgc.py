@@ -1,14 +1,14 @@
 """Selection with guaranteed coverage.
 
-Binary search over the ascending scores of a detection-training sample for
-a threshold whose coverage lower bound matches a target coverage. Each of
-the ceil(log2 m) iterations compares the binomial-tail bound at confidence
-delta / ceil(log2 m) with the target. That bound rises with the success
-count, so before the search bounds.success_threshold finds, in a few CDF
-evaluations, the largest count whose bound is at most the target, and each
-iteration then compares its count with it. run_sgc solves the bound only
-for the final iteration, whose pair it returns; iter_sgc solves it for
-every iteration of the trace.
+Binary search over the ascending scores x_(1) <= ... <= x_(m) of a
+detection-training sample for a threshold x_(z) whose coverage lower bound,
+at confidence delta / ceil(log2 m) on its successes count(x >= x_(z)),
+matches a target coverage. bounds.success_threshold first finds the largest
+count T < m whose bound is at most the target. The steps then read four
+integers and no score: m, T, n_min = count(x <= x_(1)) and
+n_v = count(x <= x_(m - T)), which a streaming pass could supply as well.
+run_sgc reads and solves only the final iteration's pair; iter_sgc reads
+and solves every iteration's for its trace.
 """
 
 from __future__ import annotations
@@ -64,15 +64,13 @@ class SgcIteration(NamedTuple):
 
 def _search(
     sorted_scores: np.ndarray, delta: float, target_coverage: float
-) -> tuple[int, float, list[tuple[int, int, int, int, float, int]]]:
+) -> tuple[int, float, list[tuple[int, int, int]]]:
     """(m, per-iteration delta, steps) of the binary search on ascending scores.
 
-    Each step is (index, z_min, z_max, z, theta, successes). A step whose
-    bound undershoots the target (b* <= c*) moves toward higher coverage
-    (z_max = z), otherwise toward lower coverage (z_min = z). For successes
-    below m that holds exactly when successes is at most the target's
-    success threshold, found once per search; a step with successes == m
-    asks bound_at_most.
+    Each step is (z_min, z_max, z). It moves toward higher coverage
+    (z_max = z) when z > n_v, since count(x >= x_(z)) <= T exactly then, or
+    when z <= n_min, where every score succeeds, and bound_at_most accepts
+    the bound at m successes; otherwise toward lower coverage (z_min = z).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -85,25 +83,27 @@ def _search(
     per_iteration_delta = delta / k
 
     threshold = success_threshold(m, per_iteration_delta, target_coverage)
+    # T = -1 reads rank m as T = 0 does: n_v = m, and no step passes.
+    ranks = [0, m - max(threshold, 0) - 1]
+    n_min, n_v = np.searchsorted(sorted_scores, sorted_scores[ranks], side="right").tolist()
     steps = []
     z_min, z_max = 1, m
-    for i in range(1, k + 1):
+    for _ in range(k):
         z = (z_min + z_max + 1) // 2
-        theta = float(sorted_scores[z - 1])
-        # Scores >= theta, ties at theta included.
-        successes = m - int(np.searchsorted(sorted_scores, theta, side="left"))
-        steps.append((i, z_min, z_max, z, theta, successes))
-        if successes < m:
-            below = successes <= threshold
-        else:
-            # delta ** (1 / m), not the bisection's grid point: outside the
-            # threshold's monotone range.
-            below = bound_at_most(m, m, per_iteration_delta, target_coverage)
-        if below:
+        steps.append((z_min, z_max, z))
+        # The bound at m successes is delta ** (1 / m), not the bisection's
+        # grid point: outside the threshold's monotone range.
+        if z > n_v or (z <= n_min and bound_at_most(m, m, per_iteration_delta, target_coverage)):
             z_max = z
         else:
             z_min = z
     return m, per_iteration_delta, steps
+
+
+def _pair(sorted_scores: np.ndarray, z: int) -> tuple[float, int]:
+    """(theta, successes) of the threshold x_(z): scores >= theta, ties included."""
+    theta = float(sorted_scores[z - 1])
+    return theta, sorted_scores.size - int(np.searchsorted(sorted_scores, theta, side="left"))
 
 
 def iter_sgc(
@@ -116,19 +116,20 @@ def iter_sgc(
     of the candidate threshold. Every step's bound b* is solved.
     """
     m, step_delta, steps = _search(sorted_scores, delta, target_coverage)
-    return [
-        SgcIteration(i, z_min, z_max, z, theta, s / m, solve_bound(m, s, step_delta))
-        for i, z_min, z_max, z, theta, s in steps
-    ]
+    trace = []
+    for i, (z_min, z_max, z) in enumerate(steps, 1):
+        theta, s = _pair(sorted_scores, z)
+        trace.append(SgcIteration(i, z_min, z_max, z, theta, s / m, solve_bound(m, s, step_delta)))
+    return trace
 
 
 def run_sgc(sorted_scores: np.ndarray, delta: float, target_coverage: float) -> CoverageBound:
     """Fit one coverage bound on ascending scores; returns the final iteration's pair.
 
-    Only that pair's bound is solved.
+    Only that pair's threshold is read and its bound solved.
     """
     m, step_delta, steps = _search(sorted_scores, delta, target_coverage)
-    *_, theta, successes = steps[-1]
+    theta, successes = _pair(sorted_scores, steps[-1][-1])
     return CoverageBound(
         c_target=target_coverage,
         b_star=solve_bound(m, successes, step_delta),

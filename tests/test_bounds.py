@@ -252,7 +252,17 @@ class TestBracketedSolve:
 class TestBoundAtMost:
     """bound_at_most(m, s, delta, c) is exactly solve_bound(m, s, delta) <= c."""
 
-    def test_matches_solved_bound(self):
+    def test_matches_solved_bound(self, monkeypatch):
+        # bound_at_most re-solves a query for each c near its b*; a memo of
+        # the exact solves saves the repeats.
+        solved = {}
+
+        def memo_solve(*q):
+            if q not in solved:
+                solved[q] = solve_bound(*q)
+            return solved[q]
+
+        monkeypatch.setattr(bounds, "solve_bound", memo_solve)
         rng = np.random.default_rng(12)
         queries = flat_rounding_queries()
         for _ in range(200):
@@ -264,7 +274,7 @@ class TestBoundAtMost:
         cell = 1.0 / bounds._GRID
         mismatched = []
         for q in queries:
-            b_star = solve_bound(*q)
+            b_star = memo_solve(*q)
             for c in (
                 *(b_star + k * cell for k in range(-3, 4)),
                 b_star - 1e-12,

@@ -127,6 +127,13 @@ class TestFit:
         assert model.delta == 0.01
         assert len(model.pairs) == 10
 
+    def test_header_line_gives_identical_model(self, tmp_path, train_file, model_file):
+        headed = tmp_path / "headed.txt"
+        headed.write_text("score\n" + train_file.read_text())
+        out = tmp_path / "headed.json"
+        assert main(["fit", "--scores", str(headed), "--header", "--out", str(out)]) == 0
+        assert out.read_bytes() == model_file.read_bytes()
+
     def test_two_point_boundary(self, tmp_path):
         scores = tmp_path / "two.txt"
         write_scores(scores, [0.3, 0.7])
@@ -377,6 +384,23 @@ class TestEval:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert len(outs[0].decode().strip().split("\n")) == 1 + 7
+
+    @pytest.mark.parametrize("method", ["ours", "ks"])
+    def test_header_lines_give_identical_csv(self, tmp_path, train_file, method):
+        # ours reads score pools, ks reads raw pools as 1-D vectors.
+        paths = [train_file, *self._pools(tmp_path)]
+        headed = [path.with_suffix(".headed") for path in paths]
+        for path, copy in zip(paths, headed):
+            copy.write_text("score\n" + path.read_text())
+        outs = []
+        for pools, flags in ((paths, []), (headed, ["--header"])):
+            out = tmp_path / f"{method}{len(flags)}.csv"
+            rc = main(["eval", "--method", method, "--train", str(pools[0]),
+                       "--id", str(pools[1]), "--shifted", str(pools[2]), *flags,
+                       "--window-sizes", "10", "--trials", "2", "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_raw_pool_with_two_columns_rejected(self, tmp_path, train_file, capsys):
         id_path, sh_path = self._pools(tmp_path)

@@ -297,11 +297,20 @@ class TestReadCsvMatrix:
         with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row 'nope'$"):
             load_scores(str(path), "raw_scores")
 
-    def test_raw_file_ignores_header_flag(self, tmp_path):
+    def test_raw_file_header_flag_skips_first_line(self, tmp_path):
         path = tmp_path / "scores.txt"
-        path.write_text("0.9\n0.5\n")
+        path.write_text("score\n0.9\n0.5\n")
         sample = load_scores(str(path), "raw_scores", header=True)
         assert sample.scores.tolist() == [0.9, 0.5]
+        with pytest.raises(ValueError, match=f"^{path}: line 1: cannot parse row 'score'$"):
+            load_scores(str(path), "raw_scores")
+        # As for CSVs, the flag skips the first line whatever it holds, and
+        # errors keep the file's line numbers.
+        path.write_text("0.9\n0.5\n")
+        assert load_scores(str(path), "raw_scores", header=True).scores.tolist() == [0.5]
+        path.write_text("score\n0.9\nnope\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 3: cannot parse row 'nope'$"):
+            load_scores(str(path), "raw_scores", header=True)
 
 
 def _loadtxt_line_by_line(path, skiprows: int) -> np.ndarray:

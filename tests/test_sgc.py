@@ -152,6 +152,21 @@ class TestThresholdDecisions:
         rng = np.random.default_rng(20)
         self.assert_fits_match(rng, fit_samples(rng, 8, (4.5, 5.0)))
 
+    @pytest.mark.parametrize(
+        "m, delta, target", [(2, 0.3, 0.1), (2, 1e-6, 1e-9), (5, 0.3, 1e-9), (1000, 0.01, 1e-9)]
+    )
+    def test_empty_threshold_matches_the_stepwise_oracle(self, m, delta, target):
+        # The target lies below the bound at zero successes, so no count
+        # below m passes and only the minimum's tie block, here all of a
+        # constant sample, can move a step to higher coverage.
+        assert success_threshold(m, delta / math.ceil(math.log2(m)), target) == -1
+        samples = (substream(7, m).random(m), np.round(substream(8, m).random(m), 1), np.ones(m))
+        for scores in samples:
+            sorted_scores = np.sort(scores)
+            cb = run_sgc(sorted_scores, delta, target)
+            got = (cb.b_star, cb.theta, cb.empirical_coverage_at_fit)
+            assert got == stepwise_sgc(sorted_scores, delta, target)
+
     def test_full_success_step_is_decided_by_its_own_bound(self):
         # The lowest 9 of 16 scores tie, so the first step succeeds on every
         # score. Its bound delta' ** (1 / m) is exactly the target, which
@@ -166,3 +181,20 @@ class TestThresholdDecisions:
         cb = run_sgc(sorted_scores, 0.01, target)
         assert (cb.b_star, cb.theta, cb.empirical_coverage_at_fit) == (target, 0.0, 1.0)
         assert stepwise_sgc(sorted_scores, 0.01, target) == (target, 0.0, 1.0)
+
+
+def test_search_steps_read_no_scores(monkeypatch):
+    # The steps decide from four integers; only n_min and n_v before the
+    # loop and the kept pair after it count the sorted scores.
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return searchsorted(*args, **kwargs)
+
+    sorted_scores = np.sort(substream(9, 0).random(100_000))
+    monkeypatch.setattr(np, "searchsorted", counted)
+    cb = run_sgc(sorted_scores, 0.01, 0.5)
+    assert cb.iterations == 17
+    assert len(calls) <= 2
