@@ -2,10 +2,11 @@
 
 These deliberately re-derive expected values through different code paths
 than the library: direct log-space summation on a fixed grid for the
-bound solver, a plain double loop for MMD and one pass over the pooled
-pairs for its median-heuristic bandwidth, one kernel re-indexing per
-permutation for the MMD permutation test (sharing only the seeded
-substreams), one pass per coverage pair for the detector's violation
+bound solver, the binomial CDF as an exact ratio of Python integers at
+the bisection's grid points, a plain double loop for MMD and one pass
+over the pooled pairs for its median-heuristic bandwidth, one kernel
+re-indexing per permutation for the MMD permutation test (sharing only
+the seeded substreams), one pass per coverage pair for the detector's violation
 terms and exact rational arithmetic per instance for its statistic, hand
 ECDF enumeration for KS, the Welch t-test computed from both raw samples
 in one function (sharing only the t CDF), and a count over every
@@ -31,6 +32,8 @@ from covshift.bounds import BISECTION_TOL, binomial_cdf
 from covshift.stats import _bd0, _lgamma_corr, student_t_cdf, substream
 
 GRID_STEP = 1e-6
+# The bisection's grid is 2**-_GRID_BITS: the first power of two below BISECTION_TOL.
+_GRID_BITS = math.ceil(-math.log2(BISECTION_TOL))
 _COARSE = 1000  # coarse stride in grid units
 
 
@@ -93,6 +96,34 @@ def bisection_bound(m: int, successes: int, delta: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def binomial_cdf_exact(x: int, m: int, k: int) -> Fraction:
+    """P(X <= x) for X ~ Binomial(m, b) at the grid point b = k / 2**34, exactly.
+
+    The bisection tests only multiples of 2**-34, where every pmf term is
+    a ratio of Python integers. The shorter tail, with t + 1 terms, is
+    summed as (r / n)^(m - t) * sum_{j <= t} C(m, j) p^j r^(t - j) / n^t,
+    where n = 2**34 and (p, r) is (k, n - k) for the lower tail and
+    (n - k, k) for the upper one. The power of a reduced Fraction is
+    reduced already, so no gcd of two 34 m-bit integers is taken.
+    """
+    n = 1 << _GRID_BITS
+
+    def tail(t, p, r):
+        acc, coef, power = 0, 1, 1
+        for j in range(t + 1):
+            if j:
+                coef = coef * (m - j + 1) // j
+                power *= p
+            acc = acc * r + coef * power
+        return Fraction(r, n) ** (m - t) * Fraction(acc, n**t)
+
+    if x == m:
+        return Fraction(1)
+    if x <= m - x - 1:
+        return tail(x, k, n - k)
+    return 1 - tail(m - x - 1, n - k, k)
 
 
 def stepwise_sgc(sorted_scores, delta: float, target: float) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from covshift.bounds import (
 )
 from covshift.detector import coverage_grid, fit
 from covshift.scores import ScoreSample
+import oracles
 from oracles import bisection_bound, grid_scan_bound
 
 
@@ -48,6 +50,39 @@ class TestBinomialCdf:
             expected = math.exp(peak) * np.exp(lt - peak).sum()
             assert binomial_cdf(x, m, b) == pytest.approx(expected, abs=1e-11)
 
+    def test_within_half_the_margin_of_the_exact_cdf(self):
+        # At grid points, the CDF must lie within half of the rounding margin
+        # that solve_bound and bound_at_most allow it, so that no two
+        # evaluations together leave that margin. The queries cover the bulk
+        # at m <= 1000, the tails within m / 100 of either end at larger m,
+        # and the grid cells next to each query's b* at delta = 1e-6.
+        grid = bounds._GRID
+        queries = [
+            (x, m)
+            for m in (2, 7, 60, 333, 1000)
+            for x in sorted({0, m // 10, m // 3, m // 2, m - m // 4, m - 1})
+        ]
+        for m in (1001, 4321, 20_000):
+            thin = m // 100
+            queries += [(x, m) for x in (0, 1, thin - 1, thin, m - thin - 1, m - thin, m - 1)]
+        checked = 0
+        for x, m in queries:
+            sd = math.sqrt(max(x * (m - x), 1) / m)
+            cells = {round((x + 0.5 + z * sd) / m * grid) for z in (-4.0, 0.0, 4.0)}
+            k_star = round(solve_bound(m, x, 1e-6) * grid)
+            cells.update((k_star - 1, k_star))
+            for k in sorted(k for k in cells if 0 < k < grid):
+                exact = oracles.binomial_cdf_exact(x, m, k)
+                v = float(exact)
+                if v in (0.0, 1.0):
+                    continue
+                tol = 0.5 * (4096.0 * math.ulp(v) + 1e-10 * min(v, 1.0 - v))
+                error = abs(Fraction(binomial_cdf(x, m, k / grid)) - exact)
+                ratio = float(error / Fraction(tol))
+                assert ratio <= 1.0, (x, m, k, ratio)
+                checked += 1
+        assert checked > 150
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             binomial_cdf(-1, 5, 0.5)
@@ -63,8 +98,12 @@ class TestBinomialCdf:
                 binomial_cdf(x, m, 0.2)
 
     def test_numpy_integer_counts_accepted(self):
-        for x, m, b in [(3, 10, 0.2), (40, 5000, 0.01), (3000, 5000, 0.4)]:
-            assert binomial_cdf(np.int64(x), np.int32(m), b) == binomial_cdf(x, m, b)
+        # Counts are taken as Python ints: in int32, (m - x) * (x + 1)
+        # overflows at m = 1e5.
+        inputs = [(3, 10, 0.2), (40, 5000, 0.01), (3000, 5000, 0.4), (50_000, 100_000, 0.5)]
+        for x, m, b in inputs:
+            for x_type, m_type in [(np.int64, np.int32), (np.int32, np.int32)]:
+                assert binomial_cdf(x_type(x), m_type(m), b) == binomial_cdf(x, m, b)
 
 
 class TestSolveBound:
@@ -128,6 +167,9 @@ class TestSolveBound:
 
     def test_numpy_integer_counts_accepted(self):
         assert solve_bound(np.int64(5000), np.int64(4000), 0.01) == solve_bound(5000, 4000, 0.01)
+        m, s = np.int32(100_000), np.int32(50_000)
+        assert solve_bound(m, s, 0.01) == solve_bound(100_000, 50_000, 0.01)
+        assert success_threshold(m, 0.01, 0.5) == success_threshold(100_000, 0.01, 0.5)
 
     def test_query_validation(self):
         for m, successes, delta in [(0, 0, 0.1), (5, 6, 0.1), (5, -1, 0.1), (5, 2, 0.0), (5, 2, 1.0)]:
@@ -213,8 +255,14 @@ class TestBracketedSolve:
         for _ in range(300):
             m = int(10 ** rng.uniform(1, 9))
             delta = float(10 ** rng.uniform(-6, -1))
-            for s in {0, 1, m // 2, m - 1, int(rng.integers(0, m))}:
-                queries.append((m, s, delta))
+            # Also the counts at the edges of the tails within m / 100 of
+            # either end.
+            thin = m // 100
+            counts = {0, 1, m // 2, m - 1, int(rng.integers(0, m))}
+            counts |= {thin - 1, thin, m - thin - 1, m - thin}
+            for s in counts:
+                if 0 <= s < m:
+                    queries.append((m, s, delta))
         self.assert_matches_oracle(queries)
 
     def test_fit_queries(self, fit_queries):

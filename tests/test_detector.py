@@ -150,8 +150,8 @@ class TestFit:
 
 # float.hex of (b_star, theta, empirical_coverage_at_fit) for each coverage
 # of fit(gen_scores(BetaDist(5, 1), m, seed=3), delta=0.01, c_target_count=10).
-# At m = 500 every bound solve sums the pmf; at m = 20 000 the bulk of them go
-# through the incomplete beta.
+# Every bound solve goes through the incomplete beta, at m = 500 as at
+# m = 20 000.
 PINNED_FITS = {
     500: [
         ("0x1.9925f9c400000p-4", "0x1.f3a9f30d32ea6p-1", "0x1.22d0e56041893p-3"),
@@ -183,22 +183,29 @@ PINNED_FITS = {
 class TestPinnedFit:
     @pytest.mark.parametrize("m", sorted(PINNED_FITS))
     def test_fitted_floats_are_pinned(self, m, monkeypatch):
-        beta_calls = 0
+        # Each binomial_cdf call of the fit records how many incomplete_beta
+        # calls it made.
+        beta_calls = []
         real_incomplete_beta = bounds.incomplete_beta
+        real_binomial_cdf = bounds.binomial_cdf
 
-        def counting(*args):
-            nonlocal beta_calls
-            beta_calls += 1
+        def counting_beta(*args):
+            beta_calls[-1] += 1
             return real_incomplete_beta(*args)
 
-        monkeypatch.setattr(bounds, "incomplete_beta", counting)
+        def counting_cdf(*args):
+            beta_calls.append(0)
+            return real_binomial_cdf(*args)
+
+        monkeypatch.setattr(bounds, "incomplete_beta", counting_beta)
+        monkeypatch.setattr(bounds, "binomial_cdf", counting_cdf)
         model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
         got = [
             (p.b_star.hex(), p.theta.hex(), p.empirical_coverage_at_fit.hex())
             for p in model.pairs
         ]
         assert got == PINNED_FITS[m]
-        assert (beta_calls > 0) == (m > 1000)
+        assert beta_calls and set(beta_calls) == {1}
 
 
 # float.hex of (v_statistic, p_value) for detect(pinned_model, window, 0.05) on

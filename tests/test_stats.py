@@ -167,10 +167,10 @@ class TestStudentTTables:
                     assert hex_or_raise(incomplete_beta, a, b, x) == want, (a, b, x)
 
     def test_binomial_cdf_on_the_incomplete_beta_path(self, monkeypatch):
-        # m from 1e3 to 1e8, counts from the centre out to where the tails
-        # are summed instead, b a few standard deviations around x / m, and
-        # a query near m = 2e9 whose fraction exhausts the term cap on both
-        # sides. Every query goes through incomplete_beta.
+        # m from 2 to 1e8, counts from the centre out to the thin tails
+        # within m / 100 of either end, b a few standard deviations around
+        # x / m, and a query near m = 2e9 whose fraction exhausts the term
+        # cap on both sides. Every query goes through incomplete_beta.
         calls = 0
         real = bounds.incomplete_beta
 
@@ -181,12 +181,15 @@ class TestStudentTTables:
 
         monkeypatch.setattr(bounds, "incomplete_beta", counting)
         queries = 0
-        for m in (1001, 10**4, 123_457, 10**6, 10**7, 10**8):
-            thin = min(m // 100, bounds._TAIL_SUM_MAX_TERMS)
-            for x in sorted({thin, m // 7, m // 2, m - thin - 1}):
+        for m in (2, 7, 100, 999, 1000, 1001, 10**4, 123_457, 10**6, 10**7, 10**8):
+            thin = m // 100
+            counts = {0, thin - 1, thin, m // 7, m // 2, m - thin - 1, m - thin}
+            for x in sorted(x for x in counts if 0 <= x < m):
                 sd = math.sqrt(x * (m - x) / m)
                 for z in (-3.0, -1.0, -0.01, 0.0, 0.5, 3.0):
                     b = (x + 0.5 + z * sd) / m
+                    if not 0.0 < b < 1.0:
+                        continue
                     y = 1.0 - b
                     want = hex_or_raise(oracles.incomplete_beta_xc, m - x, x + 1, y, 1.0 - y)
                     assert hex_or_raise(binomial_cdf, x, m, b) == want, (x, m, b)
