@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -162,18 +163,9 @@ def cmd_eval(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _median_of_timed(fn, warmup: int = 1, reps: int = 5) -> float:
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
-
-
 def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
+    import timeit
+
     from .eval import METHODS, MethodSettings, UniformDist, gen_scores
 
     spec = METHODS[name]
@@ -185,10 +177,13 @@ def _bench_method(name: str, m: int, k: int, seed: int) -> tuple[float, float]:
     method = spec.build(ref, MethodSettings())
     fit_seconds = time.perf_counter() - start
     if spec.one_shot is None:
-        return fit_seconds, _median_of_timed(lambda: method.p_value(window, seed))
-    # Baselines are timed as the source paper runs them: the two-sample
-    # test on the raw reference for every window.
-    return fit_seconds, _median_of_timed(lambda: spec.one_shot(ref, window))
+        one_window = partial(method.p_value, window, seed)
+    else:
+        # Baselines are timed as the source paper runs them: the two-sample
+        # test on the raw reference for every window.
+        one_window = partial(spec.one_shot, ref, window)
+    one_window()  # warm-up
+    return fit_seconds, float(np.median(timeit.repeat(one_window, number=1, repeat=5)))
 
 
 def cmd_bench(args) -> int:

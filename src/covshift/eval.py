@@ -269,8 +269,12 @@ def _draw_scores(dist: ScoreDist, n: int, rng: np.random.Generator) -> np.ndarra
     if isinstance(dist, BetaDist):
         # Gamma-ratio construction: X/(X+Y) with X~Gamma(a), Y~Gamma(b).
         ga = rng.standard_gamma(dist.a, size=n)
-        gb = rng.standard_gamma(dist.b, size=n)
-        return ga / (ga + gb)
+        total = ga + rng.standard_gamma(dist.b, size=n)
+        if not total.all():
+            raise ValueError(
+                f"beta a={dist.a}, b={dist.b}: both gamma draws of a score underflowed to 0"
+            )
+        return ga / total
     if isinstance(dist, MixtureDist):
         weights = np.array([w for w, _ in dist.components])
         choice = rng.choice(len(dist.components), size=n, p=weights)
@@ -297,7 +301,13 @@ def gen_vectors(dist: VectorDist, n: int, seed: int) -> VectorSample:
     rng = make_rng(seed)
     if isinstance(dist, DirichletDist):
         gam = rng.standard_gamma(np.asarray(dist.alpha), size=(n, len(dist.alpha)))
-        rows = gam / gam.sum(axis=1, keepdims=True)
+        sums = gam.sum(axis=1, keepdims=True)
+        if not sums.all():
+            raise ValueError(
+                f"dirichlet concentrations {', '.join(map(str, dist.alpha))}: "
+                "every gamma draw of a row underflowed to 0"
+            )
+        rows = gam / sums
         return VectorSample(vectors=rows, kind=VectorKind.SOFTMAX)
     if isinstance(dist, GaussianDist):
         rows = dist.mu + dist.sigma * rng.standard_normal((n, dist.dim))

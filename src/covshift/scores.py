@@ -9,6 +9,7 @@ confidence-rate function.
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import stat
 import warnings
@@ -106,14 +107,6 @@ def _count_lines(fh) -> int:
     return count if last == "\n" else count + 1
 
 
-def _data_lines(path: str, first_line: int) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines[first_line - 1:]
-
-
 # File name suffixes that np.loadtxt, given a path, decompresses.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -133,8 +126,8 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     before parsing. np.loadtxt then reads the file by its absolute path,
     which it never takes for a URL, in chunks with its C parser, so memory
     beyond the matrix stays bounded. Names ending in a suffix np.loadtxt
-    would decompress by are refused. The text is read into lines only to
-    name a faulty row.
+    would decompress by are refused. A faulty row is named by reading the
+    file again line by line.
 
     The file is read more than once, so the path must name a regular
     file: a pipe, FIFO or device (``/dev/stdin``, a shell's ``<(...)``) is
@@ -175,10 +168,10 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
                 encoding="utf-8",
             )
     except ValueError as exc:
-        _raise_first_bad_row(path, _data_lines(path, first_line), first_line, exc)
+        _raise_first_bad_row(path, first_line, exc)
     # loadtxt skips blank lines, so a short matrix means the file has one.
     if matrix.shape[0] != n_lines:
-        _raise_first_bad_row(path, _data_lines(path, first_line), first_line, None)
+        _raise_first_bad_row(path, first_line, None)
     bad = ~np.isfinite(matrix)
     if bad.any():
         lineno = first_line + int(np.argwhere(bad)[0][0])
@@ -198,29 +191,30 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _raise_first_bad_row(
-    path: str, lines: list[str], first_line: int, cause: ValueError | None
-) -> NoReturn:
+def _raise_first_bad_row(path: str, first_line: int, cause: ValueError | None) -> NoReturn:
     """Raise the line-numbered error for the first row np.loadtxt could not take.
 
     Only runs after np.loadtxt failed or skipped a blank line, so the
-    per-line Python work stays off the success path. The row checks
-    accept exactly what np.loadtxt accepts.
+    per-line Python work stays off the success path. The file is read one
+    line at a time from first_line. The row checks accept exactly what
+    np.loadtxt accepts.
     """
     width = None
-    for offset, line in enumerate(lines):
-        lineno = first_line + offset
-        cells = line.strip().split(",")
-        if cells == [""]:
-            raise ValueError(f"{path}: line {lineno}: empty row")
-        if not all(map(_is_number, cells)):
-            raise ValueError(f"{path}: line {lineno}: cannot parse row {line!r}")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: row has {len(cells)} columns, expected {width}"
-            )
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = itertools.islice(fh, first_line - 1, None)
+        for lineno, line in enumerate(rows, start=first_line):
+            line = line.rstrip("\n")
+            cells = line.strip().split(",")
+            if cells == [""]:
+                raise ValueError(f"{path}: line {lineno}: empty row")
+            if not all(map(_is_number, cells)):
+                raise ValueError(f"{path}: line {lineno}: cannot parse row {line!r}")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError(
+                    f"{path}: line {lineno}: row has {len(cells)} columns, expected {width}"
+                )
     raise ValueError(f"{path}: cannot parse file: {cause}") from cause
 
 

@@ -271,15 +271,15 @@ def _incomplete_beta_xc(
 
 def incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"incomplete_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"incomplete_beta requires finite a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"incomplete_beta requires x in [0, 1], got {x}")
     return _incomplete_beta_xc(a, b, x, 1.0 - x)
 
 
 def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t distribution with df > 0 degrees of freedom.
+    """CDF of Student's t distribution with finite df > 0 degrees of freedom.
 
     The tail is the regularized incomplete beta I_x(df/2, 1/2), through
     its one continued fraction. An integral df (an int, or a float such as
@@ -291,8 +291,8 @@ def student_t_cdf(t: float, df: float) -> float:
     fractional df, such as a Welch-Satterthwaite df, rarely repeats and
     computes every term as it goes.
     """
-    if not df > 0:
-        raise ValueError(f"student_t_cdf requires df > 0, got {df}")
+    if not 0 < df < math.inf:
+        raise ValueError(f"student_t_cdf requires a finite df > 0, got {df}")
     if math.isnan(t):
         raise ValueError("student_t_cdf requires a finite t")
     if math.isinf(t):

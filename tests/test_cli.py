@@ -120,6 +120,26 @@ class TestSimulate:
         assert proc.stderr == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("beta:0.001,0.001",
+             "beta a=0.001, b=0.001: both gamma draws of a score underflowed to 0"),
+            ("dirichlet:0.001,0.001,0.001",
+             "dirichlet concentrations 0.001, 0.001, 0.001: "
+             "every gamma draw of a row underflowed to 0"),
+        ],
+        ids=["beta", "dirichlet"],
+    )
+    def test_gamma_underflow_exits_one(self, tmp_path, spec, message):
+        # Its own process, so that a 0/0 warning would show on stderr.
+        out = tmp_path / "x.txt"
+        proc = run_cli(["simulate", "--dist", spec, "--n", "1000", "--seed", "1",
+                        "--out", str(out)], timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_defaults_recorded(self, model_file):

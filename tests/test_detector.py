@@ -280,6 +280,41 @@ class TestPinnedDetect:
         assert [c.violated for c in reports[-1].per_coverage] == [False] * 7 + [True] * 3
 
 
+class TestEveryCountVector:
+    """detect reads only the window's D + 1 bin counts, so every count
+    vector of a small window can be checked against the exact statistic."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # D = 1; c_hat == b* = 0.5 at every even k.
+            [(0.1, 0.5, 0.5)],
+            # D = 2; the first two coverages share a theta.
+            [(0.1, 0.25, 0.8), (0.2, 0.5, 0.8), (0.3, 0.75, 0.3)],
+            # D = 3; b* = 1/3 is the float of 1/3 and 2/6, and 0.6 and 0.8
+            # those of 3/5 and 4/5.
+            [(0.1, 1 / 3, 0.9), (0.4, 0.6, 0.6), (0.7, 0.8, 0.2)],
+        ],
+        ids=["one-edge", "shared-theta", "three-edges"],
+    )
+    def test_matches_exact_statistic(self, pairs):
+        model = manual_model(CoverageBound(c, b, theta, 1, 0.5) for c, b, theta in pairs)
+        edges = model.edges.tolist()
+        # A score for each bin: below edges[0] for bin 0, edges[i - 1] for bin i.
+        bin_scores = [edges[0] - 1.0, *edges]
+        ties = 0
+        for k in range(2, 8):
+            for bins in itertools.combinations_with_replacement(range(len(edges) + 1), k):
+                window = ScoreSample([bin_scores[i] for i in bins])
+                counts = np.bincount(np.searchsorted(edges, window.scores, "right"),
+                                     minlength=len(edges) + 1)
+                assert counts.tolist() == [bins.count(i) for i in range(len(edges) + 1)]
+                report = detect(model, window, alpha=0.05)
+                assert_matches_exact_statistic(report, model, window)
+                ties += sum(c.empirical_coverage == c.b_star for c in report.per_coverage)
+        assert ties > 0
+
+
 class TestModelColumns:
     def test_read_only_columns_of_the_pairs(self, small_model):
         c = len(small_model.pairs)

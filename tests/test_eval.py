@@ -193,6 +193,24 @@ class TestGenerators:
         b = gen_scores(BetaDist(2, 3), 100, seed=9)
         assert np.array_equal(a.scores, b.scores)
 
+    def test_beta_gamma_underflow_named(self):
+        # At a = b = 0.001 both gamma draws of some score are 0, and 0/0
+        # would be a NaN score.
+        message = "^beta a=0.001, b=0.001: both gamma draws of a score underflowed to 0$"
+        with pytest.raises(ValueError, match=message):
+            gen_scores(BetaDist(0.001, 0.001), 1000, seed=1)
+        mix = MixtureDist(((0.5, BetaDist(0.001, 0.001)), (0.5, UniformDist())))
+        with pytest.raises(ValueError, match=message):
+            gen_scores(mix, 1000, seed=1)
+
+    def test_dirichlet_gamma_underflow_named(self):
+        message = (
+            "^dirichlet concentrations 0.001, 0.001, 0.001: "
+            "every gamma draw of a row underflowed to 0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            gen_vectors(DirichletDist((0.001,) * 3), 100, seed=1)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BetaDist(0.0, 1.0)

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,3 +452,37 @@ class TestReaderByPath:
             load_scores(str(path), "raw_scores")
         with pytest.raises(ValueError, match=match):
             load_vectors(str(path), VectorKind.EMBEDDING)
+
+
+def _traced_read(path) -> tuple[int, str | None]:
+    # Peak traced memory of read_csv_matrix(path), and its error if it raised.
+    tracemalloc.start()
+    try:
+        read_csv_matrix(path)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+def test_rejecting_a_row_peaks_near_loading_the_file(tmp_path):
+    # Naming a bad row reads the file line by line, so rejecting a file
+    # holds about what loading a valid one of the same size holds.
+    n = 200_000
+    body = "".join(f"{i / n:.6f}\n" for i in range(n - 1))
+    versions = {
+        "valid": ("0.5\n", None),
+        "bad-last-row": ("abc\n", "line 200000: cannot parse row 'abc'"),
+        "blank-before-last-row": ("\n0.5\n", "line 200000: empty row"),
+    }
+    peaks = {}
+    for name, (tail, message) in versions.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(body + tail)
+        peaks[name], error = _traced_read(str(path))
+        assert error == (message and f"{path}: {message}")
+    assert peaks["bad-last-row"] <= 1.5 * peaks["valid"], peaks
+    assert peaks["blank-before-last-row"] <= 1.5 * peaks["valid"], peaks

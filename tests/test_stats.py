@@ -59,6 +59,12 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             incomplete_beta(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                      (1.0, math.nan), (math.inf, math.inf)])
+    def test_incomplete_beta_rejects_non_finite_parameters(self, a, b):
+        with pytest.raises(ValueError, match="^incomplete_beta requires finite a, b > 0"):
+            incomplete_beta(a, b, 0.5)
+
     def test_student_t_cdf_symmetry_point(self):
         for df in (1, 2, 3.5, 30, 10**6):
             assert student_t_cdf(0.0, df) == 0.5
@@ -107,6 +113,21 @@ class TestSpecialFunctions:
     def test_student_t_cdf_domain(self):
         with pytest.raises(ValueError):
             student_t_cdf(0.0, 0.0)
+
+    @pytest.mark.parametrize("df", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("t", [-5.0, 0.0, 1.0, 5.0])
+    def test_student_t_cdf_rejects_non_finite_df(self, t, df):
+        # Unchecked, an infinite df reads 0.5 at every t: df + t^2 is inf,
+        # so the complement of x is 0 and the tail reads as whole.
+        with pytest.raises(ValueError, match="^student_t_cdf requires a finite df > 0"):
+            student_t_cdf(t, df)
+
+    @pytest.mark.parametrize("df", [1, 9, 2.5, 1e6])
+    def test_student_t_cdf_infinite_and_nan_t(self, df):
+        assert student_t_cdf(math.inf, df) == 1.0
+        assert student_t_cdf(-math.inf, df) == 0.0
+        with pytest.raises(ValueError, match="^student_t_cdf requires a finite t$"):
+            student_t_cdf(math.nan, df)
 
 
 def t_grid(df):
