@@ -18,7 +18,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -253,28 +252,22 @@ def save_model(model: DetectorModel, path: str) -> None:
     write_atomic(path, json.dumps(_model_payload(model), indent=2) + "\n")
 
 
-def _new_file_mode(path: str) -> int:
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def write_atomic(path: str, text: str) -> None:
     """Write text to path through a temp file in the same directory and a rename.
 
-    The file keeps the mode of the file it replaces, or gets the mode a
-    plain open() would give it (0o666 less the umask); mkstemp's 0600
-    would otherwise survive the rename. The data is synced to disk before
-    the rename.
+    The temp file is created with the mode a plain open() would give it
+    (0o666 less the umask, applied by the kernel), or takes the mode of
+    the file it replaces. The data is synced to disk before the rename.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, _new_file_mode(path))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            try:
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())

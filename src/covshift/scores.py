@@ -12,7 +12,6 @@ import enum
 import itertools
 import os
 import stat
-import warnings
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -87,9 +86,8 @@ def kappa_of_rows(rows: np.ndarray, cf: ConfidenceFunction) -> np.ndarray:
     if cf is ConfidenceFunction.SOFTMAX_RESPONSE:
         return rows.max(axis=1)
     if cf is ConfidenceFunction.ONE_MINUS_ENTROPY:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = np.where(rows > 0.0, rows * np.log(np.where(rows > 0.0, rows, 1.0)), 0.0)
-        return 1.0 + contrib.sum(axis=1)
+        # A zero entry takes log 1, so log 0 is never evaluated.
+        return 1.0 + (rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=1)
     raise ValueError(f"confidence function {cf.value} does not apply to softmax rows")
 
 
@@ -123,11 +121,11 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
 
     The file must be UTF-8 text: a counting pass decodes it in chunks
     first, so a file that does not open or decode fails with its name
-    before parsing. np.loadtxt then reads the file by its absolute path,
-    which it never takes for a URL, in chunks with its C parser, so memory
-    beyond the matrix stays bounded. Names ending in a suffix np.loadtxt
-    would decompress by are refused. A faulty row is named by reading the
-    file again line by line.
+    before parsing, and a blank first data row is named then. np.loadtxt
+    then reads the file by its absolute path, which it never takes for a
+    URL, in chunks with its C parser, so memory beyond the matrix stays
+    bounded. Names ending in a suffix np.loadtxt would decompress by are
+    refused. A faulty row is named by reading the file again line by line.
 
     The file is read more than once, so the path must name a regular
     file: a pipe, FIFO or device (``/dev/stdin``, a shell's ``<(...)``) is
@@ -140,33 +138,34 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
         )
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ValueError(f"{path}: not a regular file (pipes and devices cannot be read)")
+    first_line = 2 if header else 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             n_lines = _count_lines(fh)
+            fh.seek(0)
+            first_row = next(itertools.islice(fh, first_line - 1, None), "")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if n_lines == 0:
         raise ValueError(f"{path}: line 1: empty file")
-    first_line = 1
     if header:
         n_lines -= 1
-        first_line = 2
         if n_lines == 0:
             raise ValueError(f"{path}: line 2: no data rows")
+    # np.loadtxt warns "no data" only when every data line is blank, which
+    # needs the first one to be, so a blank first row is named before it runs.
+    if not first_row.strip():
+        _raise_first_bad_row(path, first_line, None)
     try:
-        with warnings.catch_warnings():
-            # An input of blank lines only warns "no data"; the row count
-            # check below reports it instead.
-            warnings.simplefilter("ignore", UserWarning)
-            matrix = np.loadtxt(
-                os.path.abspath(path),
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-                dtype=np.float64,
-                skiprows=first_line - 1,
-                encoding="utf-8",
-            )
+        matrix = np.loadtxt(
+            os.path.abspath(path),
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            dtype=np.float64,
+            skiprows=first_line - 1,
+            encoding="utf-8",
+        )
     except ValueError as exc:
         _raise_first_bad_row(path, first_line, exc)
     # loadtxt skips blank lines, so a short matrix means the file has one.
@@ -194,7 +193,8 @@ def _is_number(cell: str) -> bool:
 def _raise_first_bad_row(path: str, first_line: int, cause: ValueError | None) -> NoReturn:
     """Raise the line-numbered error for the first row np.loadtxt could not take.
 
-    Only runs after np.loadtxt failed or skipped a blank line, so the
+    Only runs once the file is known to hold a faulty row (a blank first
+    data row, or np.loadtxt failed or skipped a blank line), so the
     per-line Python work stays off the success path. The file is read one
     line at a time from first_line. The row checks accept exactly what
     np.loadtxt accepts.

@@ -902,6 +902,27 @@ class TestWriteAtomic:
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    def test_modes_set_without_changing_the_umask(self, tmp_path, monkeypatch):
+        # The umask is process-wide, so reading it by setting it would race
+        # with files other threads create.
+        def fail(*args):
+            raise AssertionError("umask changed")
+
+        new, replaced = tmp_path / "new.csv", tmp_path / "replaced.csv"
+        replaced.write_text("old\n")
+        replaced.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", fail)
+            write_atomic(str(new), "a\n")
+            write_atomic(str(replaced), "b\n")
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert stat.S_IMODE(replaced.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["new.csv", "replaced.csv"]
+
     @pytest.mark.parametrize("failing", ["replace", "fsync"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failing, existing):

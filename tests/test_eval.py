@@ -218,6 +218,15 @@ class TestGenerators:
             GaussianDist(0.0, -1.0, 3)
         with pytest.raises(ValueError):
             gen_scores(UniformDist(), 0, seed=1)
+        with pytest.raises(ValueError, match="^mixture needs at least one component$"):
+            MixtureDist(())
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            gen_vectors(DirichletDist((1.0, 1.0)), 0, seed=0)
+        # A distribution of the other kind is named, not drawn from.
+        with pytest.raises(ValueError, match="^unsupported score distribution DirichletDist"):
+            gen_scores(DirichletDist((1.0, 1.0)), 5, seed=0)
+        with pytest.raises(ValueError, match="^unsupported vector distribution BetaDist"):
+            gen_vectors(BetaDist(1.0, 1.0), 5, seed=0)
 
 
 class TestDistParsing:
@@ -250,6 +259,8 @@ class TestDistParsing:
             parse_score_dist("beta:0,1")
         with pytest.raises(ValueError, match="dirichlet needs >= 2 positive concentrations"):
             parse_vector_dist("dirichlet:1")
+        with pytest.raises(ValueError, match=r"mixture weights must be > 0, got \[1.0, 0.0\]"):
+            parse_score_dist("mixture:1*uniform+0*beta(1,1)")
         # A NaN or infinite parameter is named when the spec is parsed.
         non_finite = [
             (parse_score_dist, "beta:inf,1", "beta parameter a must be finite, got inf"),
@@ -329,6 +340,14 @@ class TestRunTrials:
         plan = TrialPlan(window_sizes=(50,), n_trials=2, seed=1)
         with pytest.raises(ValueError, match="max window size"):
             run_trials(small, small, self.make_method(), plan)
+
+    def test_bare_array_pool_rejected(self):
+        pool = ScoreSample(substream(78, 0).standard_normal(30))
+        plan = TrialPlan(window_sizes=(10,), n_trials=2, seed=1)
+        with pytest.raises(TypeError, match="pool must be a ScoreSample or VectorSample"):
+            run_trials(pool.scores, pool, self.make_method(), plan)
+        with pytest.raises(TypeError, match="pool must be a ScoreSample or VectorSample"):
+            run_trials(pool, pool.scores, self.make_method(), plan)
 
     def test_csv_pinned(self, monkeypatch):
         # SHA-256 of each method's CSV on small seeded pools, computed when

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ class TestComputeKappa:
         # 0 * ln 0 = 0: a zero-probability class leaves the entropy unchanged
         padded = kappa_of_rows(np.array([[0.5, 0.0, 0.5, 0.0]]), ENTROPY)
         assert padded[0] == kappa_of_rows(np.array([[0.5, 0.5]]), ENTROPY)[0]
+        # A zero entry of either sign never reaches the log.
+        with np.errstate(all="raise"):
+            signed = kappa_of_rows(np.array([[-0.0, 1.0, 0.0], [0.5, -0.0, 0.5]]), ENTROPY)
+        assert signed.tolist() == [1.0, padded[0]]
 
     def test_pure_function(self):
         rows = np.array([[0.1, 0.2, 0.7]])
@@ -441,6 +446,35 @@ class TestReaderByPath:
     def test_missing_file_keeps_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scores(str(tmp_path / "absent.txt"), "raw_scores")
+
+    def test_reads_without_touching_warnings_filters(self, tmp_path, monkeypatch):
+        # The filters are process-wide, and swapping them is not thread-safe,
+        # so a read must neither install nor need one.
+        def fail(*args, **kwargs):
+            raise AssertionError("warnings filters touched")
+
+        path = tmp_path / "scores.txt"
+        path.write_text("0.5\n0.25\n")
+        errors = {}
+        # pytest itself uses catch_warnings, so the patch is undone before
+        # any failure is reported.
+        monkeypatch.setattr(warnings, "catch_warnings", fail)
+        monkeypatch.setattr(warnings, "simplefilter", fail)
+        try:
+            loaded = load_scores(str(path), "raw_scores").scores.tolist()
+            for text, header in [("\n\n", False), ("score\n\n", True)]:
+                path.write_text(text)
+                try:
+                    load_scores(str(path), "raw_scores", header=header)
+                except ValueError as exc:
+                    errors[text] = str(exc)
+        finally:
+            monkeypatch.undo()
+        assert loaded == [0.5, 0.25]
+        assert errors == {
+            "\n\n": f"{path}: line 1: empty row",
+            "score\n\n": f"{path}: line 2: empty row",
+        }
 
     def test_non_utf8_file_named(self, tmp_path):
         path = tmp_path / "scores.bin"

@@ -479,6 +479,10 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="square"):
             median_heuristic_bandwidth(np.ones(shape))
 
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="pooled sample of size >= 2"):
+            median_heuristic_bandwidth(np.zeros((1, 1)))
+
     @pytest.mark.parametrize("n", [1010, 1100])
     def test_selection_equals_np_median_at_eval_sizes(self, n):
         # The pooled sizes of an eval mmd window (1000 reference rows plus
