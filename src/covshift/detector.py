@@ -2,10 +2,10 @@
 
 Fitting applies SGC once per target coverage on a uniformly spread grid
 over [0.1, 1) and keeps the resulting (bound, threshold) pairs. Detection
-counts a window's scores into the bins between the distinct thresholds,
-reads from those counts the violation statistic V (the mean violation
-gap) and a one-sided one-sample t-test on the per-instance violation
-means, and flags the window as shifted when the p-value falls below alpha.
+counts the window's scores at or above each threshold, reads from those
+counts the violation statistic V (the mean violation gap) and a one-sided
+one-sample t-test on the per-instance violation means, and flags the
+window as shifted when the p-value falls below alpha.
 
 A fitted model is a handful of scalars, so detection cost depends only on
 the window size, never on the size of the detection-training sample, and
@@ -20,6 +20,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "coverage_grid",
     "fit",
     "detect",
+    "violation_statistic",
     "save_model",
     "load_model",
     "write_atomic",
@@ -65,19 +67,17 @@ class ModelFormatError(ValueError):
 class DetectorModel:
     """Fitted set of coverage bounds plus the fit configuration.
 
-    edges holds the D distinct thresholds in ascending order, selected is
-    a (C, D + 1) 0/1 int64 table whose row j marks the bins at or above
-    theta_j, b_stars holds the bounds and c_targets the target coverages.
-    All are read-only, built from pairs when the model is made, and left
-    out of ==, hash, repr and the file.
+    thetas holds the thresholds, b_stars the bounds and c_targets the
+    target coverages, in the order of the pairs. All are read-only, built
+    from pairs when the model is made, and left out of ==, hash, repr and
+    the file.
     """
 
     pairs: tuple[CoverageBound, ...]
     delta: float
     kappa_name: str
     m: int
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
-    selected: np.ndarray = field(init=False, repr=False, compare=False)
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
     b_stars: np.ndarray = field(init=False, repr=False, compare=False)
     c_targets: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -97,18 +97,11 @@ class DetectorModel:
             )
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
-        thresholds = [p.theta for p in self.pairs]
-        # sorted(set()) rather than np.unique, whose first call imports numpy.ma.
-        edges = np.array(sorted(set(thresholds)))
-        # Bin i holds the scores at or above edges[:i] and below edges[i:],
-        # so theta_j selects every bin past its own edge.
-        first = np.searchsorted(edges, thresholds, side="right")
-        selected = (np.arange(edges.size + 1) >= first[:, None]).astype(np.int64)
+        thetas = np.array([p.theta for p in self.pairs], dtype=np.float64)
         b_stars = np.array([p.b_star for p in self.pairs])
-        for array in (edges, selected, b_stars):
+        for array in (thetas, b_stars):
             array.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "b_stars", b_stars)
         object.__setattr__(self, "c_targets", tuple(targets))
 
@@ -167,11 +160,36 @@ def fit(
 def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> DetectionReport:
     """Test one window for distribution shift at significance alpha.
 
-    The k window scores are counted into the bins between the model's
-    distinct thresholds. Coverage j's empirical coverage c_hat_j is its
-    selected count (scores >= theta_j) over k; it is violated when c_hat_j
-    <= b*_j, equality included. V is the mean violation gap: b*_j - c_hat_j
-    summed over the violated coverages, over C.
+    The statistic is violation_statistic's; the report adds the verdict
+    p < alpha and one CoverageCheck per coverage.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if window.kappa_name != model.kappa_name:
+        raise ValueError(
+            f"window kappa {window.kappa_name!r} does not match "
+            f"model kappa {model.kappa_name!r}"
+        )
+    c_hat, violated, v, p = violation_statistic(model, window.scores)
+    rows = zip(model.c_targets, model.b_stars.tolist(), c_hat.tolist(), violated.tolist())
+    return DetectionReport(
+        v_statistic=v,
+        p_value=p,
+        shift_detected=p < alpha,
+        per_coverage=tuple(map(_new_check, rows)),
+        window_size=len(window),
+    )
+
+
+def violation_statistic(
+    model: DetectorModel, scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """c_hat, violated, V and the p-value of a 1-D array of k >= 2 finite scores.
+
+    Coverage j selects the N_j scores at or above theta_j, read from one
+    sort of the window. Its empirical coverage c_hat_j is N_j / k; it is
+    violated when c_hat_j <= b*_j, equality included. V is the mean
+    violation gap: b*_j - c_hat_j summed over the violated coverages, over C.
 
     Instance i's violation mean is (sum of the violated b* - s_i) / C, where
     s_i counts the violated coverages that select it; those means average
@@ -180,30 +198,41 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
     instance granularity respects the strong dependence between coverages
     within one window; pooling all k * C terms as i.i.d. would reject far
     above alpha on in-distribution windows. Equal means (every s_i alike)
-    give p = 1 when V is 0 and p = 0 otherwise.
+    give p = 1 when V is 0 and p = 0 otherwise. Nothing depends on the
+    order of the scores.
     """
-    n = len(window)
+    if scores.ndim != 1:
+        raise ValueError(f"window must be a 1-D array of scores, got shape {scores.shape}")
+    n = scores.size
     if n < 2:
         raise ValueError(f"window must contain k >= 2 scores, got k={n}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if window.kappa_name != model.kappa_name:
-        raise ValueError(
-            f"window kappa {window.kappa_name!r} does not match "
-            f"model kappa {model.kappa_name!r}"
-        )
-    edges, selected, b_stars = model.edges, model.selected, model.b_stars
-    counts = np.bincount(np.searchsorted(edges, window.scores, "right"), minlength=edges.size + 1)
-    # Integer operands go through @, exact in any order; floats are summed
-    # only with np.add.reduce, whose order a row of a batch would share.
-    c_hat = (selected @ counts) / n
+    # The method calls skip np.sort's and np.searchsorted's Python wrappers.
+    ordered = scores.copy()
+    ordered.sort()
+    # NaN sorts last and -inf first, so the two ends show any non-finite score.
+    if not (-math.inf < ordered[0] and ordered[-1] < math.inf):
+        raise ValueError("window contains NaN or infinite scores")
+    b_stars = model.b_stars
+    # N_j: the scores from the first one at or above theta_j on.
+    counts = n - ordered.searchsorted(model.thetas, "left")
+    # Integer sums are exact in any order (Python ints here, @ in a batch);
+    # floats are summed only with np.add.reduce, whose order a row of a
+    # batch would share.
+    c_hat = counts / n
     violated = c_hat <= b_stars
     c = b_stars.size
     v = float(np.add.reduce(np.where(violated, b_stars - c_hat, 0.0)) / c)
-    s = violated @ selected
-    sum_s = int(counts @ s)
-    # k^2 (k - 1) times the variance of the s_i, a Python int at any k.
-    spread = n * int(counts @ (s * s)) - sum_s * sum_s
+    # s_i counts the violated coverages that select instance i. The selected
+    # sets are nested, so coverages j and l both select min(N_j, N_l)
+    # instances, and sum_i s_i^2 sums that over the ordered pairs (j, l) of
+    # violated coverages. With the u violated counts x ascending, x_i is the
+    # minimum of 2 (u - i) - 1 of those pairs (i from 0), which sums to
+    # twice the sum of the prefix sums of x, less the sum of x.
+    chosen = sorted(counts[violated].tolist())
+    sum_s = sum(chosen)
+    sum_s2 = 2 * sum(accumulate(chosen)) - sum_s
+    # k^2 (k - 1) times the variance of the s_i, exact at any k.
+    spread = n * sum_s2 - sum_s * sum_s
     if spread == 0:
         p = 1.0 if v == 0.0 else 0.0
     else:
@@ -211,14 +240,7 @@ def detect(model: DetectorModel, window: ScoreSample, alpha: float) -> Detection
         t = v * (c * n) * math.sqrt((n - 1) / spread)
         # Upper tail as the CDF at -t: 1 - cdf(t) rounds to 0 below about 1e-16.
         p = student_t_cdf(-t, n - 1)
-    rows = zip(model.c_targets, b_stars.tolist(), c_hat.tolist(), violated.tolist())
-    return DetectionReport(
-        v_statistic=v,
-        p_value=p,
-        shift_detected=p < alpha,
-        per_coverage=tuple(map(_new_check, rows)),
-        window_size=n,
-    )
+    return c_hat, violated, v, p
 
 
 # The keys of one coverage pair in a model file, in file order, with the

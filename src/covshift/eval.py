@@ -25,6 +25,9 @@ from .baselines import (
     detect_single_instance,
     sort_columns,
 )
+# detect itself is not called here: the "ours" adaptor reads
+# violation_statistic directly. The name stays importable as
+# covshift.eval.detect, where perfbench's tracer wraps it.
 from .detector import (
     DEFAULT_ALPHA,
     DEFAULT_C_TARGET_COUNT,
@@ -32,6 +35,7 @@ from .detector import (
     DetectorModel,
     detect,
     fit,
+    violation_statistic,
 )
 from .scores import ScoreSample
 from .stats import (
@@ -379,14 +383,18 @@ class WindowMethod(Protocol):
 
 @dataclass
 class CoverageDetectorMethod:
-    """The fitted coverage detector as a window-level p-value source."""
+    """The fitted coverage detector as a window-level p-value source.
+
+    Each window's p-value is violation_statistic's, the p-value of
+    detect's report on the same scores, with no report built. The windows
+    are the model's own kind of score, so there is no kappa label to check.
+    """
 
     name: ClassVar[str] = "ours"
     model: DetectorModel
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
-        sample = ScoreSample(scores=window, kappa_name=self.model.kappa_name)
-        return detect(self.model, sample, DEFAULT_ALPHA).p_value
+        return violation_statistic(self.model, window)[3]
 
 
 @dataclass
@@ -444,7 +452,9 @@ class SingleInstanceMethod:
         return f"single-{label}"
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
-        return t_test_welch_against(self.moments, ScoreSample(window).scores).p_value
+        if window.ndim != 1 or not np.isfinite(window).all():
+            raise ValueError("window must be a 1-D array of finite scores")
+        return t_test_welch_against(self.moments, window).p_value
 
 
 class MethodSettings(NamedTuple):

@@ -383,6 +383,10 @@ def _as_matrix(x, name: str) -> np.ndarray:
 # factor 2 to spare for rounding.
 _MAX_SQ_NORM = float(np.finfo(np.float64).max) / 8.0
 
+# Rows of _sq_distances's matrix finished per step: a block of 64 rows
+# holds 64 n floats beside the n x n matrix, a twentieth of it at n = 1280.
+_SQ_BLOCK_ROWS = 64
+
 
 def _sq_distances(pooled: np.ndarray) -> np.ndarray:
     # Squared Euclidean distances between every pair of rows, clipped at
@@ -396,7 +400,16 @@ def _sq_distances(pooled: np.ndarray) -> np.ndarray:
             "permutation_test_mmd requires finite rows with squared norms "
             f"<= {_MAX_SQ_NORM:.3g}; larger ones overflow the squared distances"
         )
-    sq = norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T)
+    # (|a|^2 + |b|^2) - 2 a.b is written over the Gram product a block of
+    # rows at a time, so only one block of the norm sums is held beside it.
+    # The same operations in the same order give the bits of the whole-
+    # matrix expression. pooled @ pooled.T itself is one syrk call whose
+    # mirror numpy fills in.
+    sq = pooled @ pooled.T
+    sq *= 2.0
+    for start in range(0, sq.shape[0], _SQ_BLOCK_ROWS):
+        block = slice(start, start + _SQ_BLOCK_ROWS)
+        np.subtract(norms[block, None] + norms, sq[block], out=sq[block])
     np.maximum(sq, 0.0, out=sq)
     return sq
 

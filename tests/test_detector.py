@@ -25,9 +25,10 @@ from covshift.detector import (
     fit,
     load_model,
     save_model,
+    violation_statistic,
     write_atomic,
 )
-from covshift.eval import BetaDist, gen_scores
+from covshift.eval import BetaDist, CoverageDetectorMethod, gen_scores
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
 from covshift.stats import student_t_cdf, substream
@@ -280,78 +281,89 @@ class TestPinnedDetect:
         assert [c.violated for c in reports[-1].per_coverage] == [False] * 7 + [True] * 3
 
 
-class TestEveryCountVector:
-    """detect reads only the window's D + 1 bin counts, so every count
-    vector of a small window can be checked against the exact statistic."""
+# The three models of TestEveryCountVector, as (c_target, b_star, theta).
+COUNT_VECTOR_MODELS = {
+    # D = 1; c_hat == b* = 0.5 at every even k.
+    "one-edge": [(0.1, 0.5, 0.5)],
+    # D = 2; the first two coverages share a theta.
+    "shared-theta": [(0.1, 0.25, 0.8), (0.2, 0.5, 0.8), (0.3, 0.75, 0.3)],
+    # D = 3; b* = 1/3 is the float of 1/3 and 2/6, and 0.6 and 0.8
+    # those of 3/5 and 4/5.
+    "three-edges": [(0.1, 1 / 3, 0.9), (0.4, 0.6, 0.6), (0.7, 0.8, 0.2)],
+}
 
-    @pytest.mark.parametrize(
-        "pairs",
-        [
-            # D = 1; c_hat == b* = 0.5 at every even k.
-            [(0.1, 0.5, 0.5)],
-            # D = 2; the first two coverages share a theta.
-            [(0.1, 0.25, 0.8), (0.2, 0.5, 0.8), (0.3, 0.75, 0.3)],
-            # D = 3; b* = 1/3 is the float of 1/3 and 2/6, and 0.6 and 0.8
-            # those of 3/5 and 4/5.
-            [(0.1, 1 / 3, 0.9), (0.4, 0.6, 0.6), (0.7, 0.8, 0.2)],
-        ],
-        ids=["one-edge", "shared-theta", "three-edges"],
+
+def count_vector_model(name):
+    return manual_model(
+        CoverageBound(c, b, theta, 1, 0.5) for c, b, theta in COUNT_VECTOR_MODELS[name]
     )
-    def test_matches_exact_statistic(self, pairs):
-        model = manual_model(CoverageBound(c, b, theta, 1, 0.5) for c, b, theta in pairs)
-        edges = model.edges.tolist()
-        # A score for each bin: below edges[0] for bin 0, edges[i - 1] for bin i.
-        bin_scores = [edges[0] - 1.0, *edges]
+
+
+def count_vector_windows(model):
+    """One window for every bin-count vector of k = 2 to 7 scores.
+
+    The bins lie between the model's D distinct thresholds, so a window
+    draws its scores from one per bin: below the lowest threshold for
+    bin 0, and the i-th smallest threshold for bin i.
+    """
+    edges = sorted(set(model.thetas.tolist()))
+    bin_scores = [edges[0] - 1.0, *edges]
+    for k in range(2, 8):
+        for bins in itertools.combinations_with_replacement(range(len(edges) + 1), k):
+            window = ScoreSample([bin_scores[i] for i in bins])
+            counts = np.bincount(np.searchsorted(edges, window.scores, "right"),
+                                 minlength=len(edges) + 1)
+            assert counts.tolist() == [bins.count(i) for i in range(len(edges) + 1)]
+            yield window
+
+
+class TestEveryCountVector:
+    """detect reads only the counts N_j of the window's scores at or above
+    each theta_j. Those are sums of the window's counts in the D + 1 bins
+    between the distinct thresholds, so every bin-count vector of a small
+    window can be checked against the exact statistic."""
+
+    @pytest.mark.parametrize("name", list(COUNT_VECTOR_MODELS), ids=list(COUNT_VECTOR_MODELS))
+    def test_matches_exact_statistic(self, name):
+        model = count_vector_model(name)
         ties = 0
-        for k in range(2, 8):
-            for bins in itertools.combinations_with_replacement(range(len(edges) + 1), k):
-                window = ScoreSample([bin_scores[i] for i in bins])
-                counts = np.bincount(np.searchsorted(edges, window.scores, "right"),
-                                     minlength=len(edges) + 1)
-                assert counts.tolist() == [bins.count(i) for i in range(len(edges) + 1)]
-                report = detect(model, window, alpha=0.05)
-                assert_matches_exact_statistic(report, model, window)
-                ties += sum(c.empirical_coverage == c.b_star for c in report.per_coverage)
+        for window in count_vector_windows(model):
+            report = detect(model, window, alpha=0.05)
+            assert_matches_exact_statistic(report, model, window)
+            ties += sum(c.empirical_coverage == c.b_star for c in report.per_coverage)
         assert ties > 0
 
 
 class TestModelColumns:
     def test_read_only_columns_of_the_pairs(self, small_model):
-        c = len(small_model.pairs)
-        thetas = [p.theta for p in small_model.pairs]
-        edges, selected = small_model.edges, small_model.selected
-        assert edges.dtype == small_model.b_stars.dtype == np.float64
-        assert edges.tolist() == sorted(set(thetas))
-        assert selected.shape == (c, edges.size + 1) and selected.dtype == np.int64
+        thetas = small_model.thetas
+        assert thetas.dtype == small_model.b_stars.dtype == np.float64
+        assert thetas.shape == (len(small_model.pairs),)
+        assert thetas.tolist() == [p.theta for p in small_model.pairs]
         assert small_model.b_stars.tolist() == [p.b_star for p in small_model.pairs]
-        # Bin i holds the scores in [edges[i - 1], edges[i]); row j marks
-        # the bins at or above theta_j.
-        lower = [-math.inf, *edges.tolist()]
-        for row, theta in zip(selected.tolist(), thetas):
-            assert row == [int(lo >= theta) for lo in lower]
-        for column in (edges, selected, small_model.b_stars):
+        for column in (thetas, small_model.b_stars):
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
+        for name in ("edges", "selected"):
+            assert not hasattr(small_model, name)
 
-    def test_tied_thresholds_share_an_edge(self):
+    def test_tied_thresholds_kept_in_pair_order(self):
         pairs = [
             CoverageBound(c, b, theta, 1, 0.5)
             for c, b, theta in [(0.1, 0.1, 0.9), (0.2, 0.2, 0.5), (0.3, 0.3, 0.5), (0.4, 0.4, 0.1)]
         ]
         model = manual_model(pairs)
-        assert model.edges.tolist() == [0.1, 0.5, 0.9]
-        assert model.selected.tolist() == [
-            [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1], [0, 1, 1, 1]
-        ]
+        assert model.thetas.tolist() == [0.9, 0.5, 0.5, 0.1]
+        report = detect(model, ScoreSample([0.5, 0.5, 0.2, 0.95]), alpha=0.05)
+        assert [c.empirical_coverage for c in report.per_coverage] == [0.25, 0.75, 0.75, 1.0]
 
     def test_ignored_by_eq_hash_and_repr(self, small_model):
         twin = replace(small_model)
-        assert twin.edges is not small_model.edges
-        assert twin.selected is not small_model.selected
+        assert twin.thetas is not small_model.thetas
         assert twin == small_model
         assert hash(twin) == hash(small_model)
-        for name in ("edges", "selected", "b_stars"):
+        for name in ("thetas", "b_stars"):
             assert name not in repr(small_model)
         assert twin != replace(small_model, m=small_model.m + 1)
 
@@ -360,20 +372,19 @@ class TestModelColumns:
             replace(p, b_star=p.b_star / 2, theta=p.theta + 1.0) for p in small_model.pairs
         )
         model = replace(small_model, pairs=pairs)
-        assert model.edges.tolist() == sorted({p.theta for p in pairs})
-        assert model.selected.tolist() == small_model.selected.tolist()
+        assert model.thetas.tolist() == [p.theta for p in pairs]
         assert model.b_stars.tolist() == [p.b_star for p in pairs]
-        for column in (model.edges, model.selected, model.b_stars):
+        for column in (model.thetas, model.b_stars):
             assert not column.flags.writeable
-        for name in ("edges", "selected"):
-            with pytest.raises(ValueError, match="init=False"):
-                replace(small_model, **{name: getattr(small_model, name)})
+        with pytest.raises(ValueError, match="init=False"):
+            replace(small_model, thetas=small_model.thetas)
 
     def test_survive_pickle(self, small_model):
         model = pickle.loads(pickle.dumps(small_model))
         assert model == small_model
-        for name in ("edges", "selected", "b_stars"):
+        for name in ("thetas", "b_stars"):
             column = getattr(model, name)
+            assert column.dtype == np.float64
             assert column.tolist() == getattr(small_model, name).tolist()
             assert not column.flags.writeable
 
@@ -446,6 +457,32 @@ class TestViolationTerms:
         window = ScoreSample([0.5, 0.6], kappa_name="one_minus_entropy")
         with pytest.raises(ValueError, match="kappa"):
             detect(small_model, window, alpha=0.05)
+
+
+def t_tail_cases(df):
+    """(i, model, window) for 300 windows of k = df + 1 close scores.
+
+    Two cases in three pair a model of up to C = 900 coverages with random
+    bounds and thresholds with a window of close scores; the third holds
+    one coverage and a window of scores all below its threshold.
+    """
+    k = df + 1
+    for i in range(300):
+        rng = substream(4400 + df, i)
+        if i % 3:
+            c = int(rng.integers(1, 901))
+            targets = np.linspace(0.1, 0.9, c)
+            b_stars = rng.uniform(0.7, 1.0, c)
+            thetas = rng.random(c)
+            window = rng.random() + rng.random(k) / (1 + i % 100)
+        else:
+            targets, b_stars, thetas = [0.5], [rng.random()], [0.5]
+            window = np.full(k, 0.25)
+        model = manual_model(
+            CoverageBound(float(c_target), float(b), float(theta), 1, 0.5)
+            for c_target, b, theta in zip(targets, b_stars, thetas)
+        )
+        yield i, model, window
 
 
 class TestDetect:
@@ -528,9 +565,10 @@ class TestDetect:
 
     @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
     def test_window_order_changes_no_bit(self, pinned_model, k):
-        # The report is a function of the window's bin counts, so a shuffled
-        # window and the sorted one give the same floats, on the pinned fit
-        # and on fits of half-tied samples against windows on their ties.
+        # The report is a function of the window's per-coverage counts, so a
+        # shuffled window and the sorted one give the same floats, on the
+        # pinned fit and on fits of half-tied samples against windows on
+        # their ties.
         models = [pinned_model]
         for c_count in (3, 10):
             rng = substream(4500, c_count)
@@ -601,21 +639,7 @@ class TestDetect:
         k = df + 1
         largest = 0.0
         degenerate = 0
-        for i in range(300):
-            rng = substream(4400 + df, i)
-            if i % 3:
-                c = int(rng.integers(1, 901))
-                targets = np.linspace(0.1, 0.9, c)
-                b_stars = rng.uniform(0.7, 1.0, c)
-                thetas = rng.random(c)
-                window = rng.random() + rng.random(k) / (1 + i % 100)
-            else:
-                targets, b_stars, thetas = [0.5], [rng.random()], [0.5]
-                window = np.full(k, 0.25)
-            model = manual_model(
-                CoverageBound(float(c_target), float(b), float(theta), 1, 0.5)
-                for c_target, b, theta in zip(targets, b_stars, thetas)
-            )
+        for i, model, window in t_tail_cases(df):
             means, _ = violation_means_loop(model, ScoreSample(window))
             sd = float(means.std(ddof=1))
             if sd == 0.0 or means.mean() <= 0.0:
@@ -700,6 +724,77 @@ class TestDetect:
             if detect(small_model, window, alpha=0.05).p_value < 0.01:
                 detected += 1
         assert detected >= 95
+
+
+class TestCoverageDetectorMethod:
+    """eval's "ours" adaptor scores the raw window with violation_statistic
+    and builds no ScoreSample or report; its p-value must be detect's, bit
+    for bit."""
+
+    @staticmethod
+    def assert_same_p_values(model, windows):
+        method = CoverageDetectorMethod(model)
+        checked = 0
+        for window in windows:
+            scores = np.array(window)
+            report = detect(model, ScoreSample(scores, model.kappa_name), alpha=0.05)
+            assert method.p_value(scores, seed=0).hex() == report.p_value.hex()
+            c_hat, violated, v, p = violation_statistic(model, scores)
+            assert (v.hex(), p.hex()) == (report.v_statistic.hex(), report.p_value.hex())
+            assert [tuple(c)[2:] for c in report.per_coverage] == list(
+                zip(c_hat.tolist(), violated.tolist())
+            )
+            checked += 1
+        assert checked > 0
+
+    def test_pinned_windows(self, pinned_model):
+        self.assert_same_p_values(pinned_model, pinned_windows(pinned_model))
+
+    @pytest.mark.parametrize("name", list(COUNT_VECTOR_MODELS), ids=list(COUNT_VECTOR_MODELS))
+    def test_every_count_vector(self, name):
+        model = count_vector_model(name)
+        windows = [w.scores for w in count_vector_windows(model)]
+        self.assert_same_p_values(model, windows)
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
+    def test_random_windows(self, small_model, pinned_model, k):
+        # Beta windows around and off the training law; every other one
+        # holds some of the model's thresholds.
+        for i, model in enumerate((small_model, pinned_model)):
+            windows = []
+            for j in range(20):
+                rng = substream(4700 + k, 20 * i + j)
+                window = rng.beta(1.0 + j % 4, 1.0, size=k)
+                if j % 2:
+                    held = rng.choice(k, size=max(1, k // 4), replace=False)
+                    window[held] = rng.choice(model.thetas, size=held.size)
+                windows.append(window)
+            self.assert_same_p_values(model, windows)
+
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_t_tail_models(self, df):
+        for _, model, window in t_tail_cases(df):
+            self.assert_same_p_values(model, [window])
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            [0.5, math.nan, 0.7],
+            [math.nan, math.nan],
+            [0.5, math.inf],
+            [-math.inf, 0.5, 0.6],
+            [[0.5, 0.6], [0.7, 0.8]],
+            [0.5],
+            [],
+        ],
+        ids=["nan", "all-nan", "inf", "-inf", "2-d", "k=1", "empty"],
+    )
+    def test_bad_window_rejected(self, small_model, window):
+        window = np.array(window, dtype=np.float64)
+        with pytest.raises(ValueError, match="window"):
+            CoverageDetectorMethod(small_model).p_value(window, seed=0)
+        with pytest.raises(ValueError, match="window"):
+            violation_statistic(small_model, window)
 
 
 class TestModelSerialization:

@@ -441,3 +441,32 @@ class TestFittedAdaptors:
             fitted = spec.build(ref, settings).p_value(window, 3)
             assert spec.one_shot(ref, window) == fitted, name
         assert {n for n, spec in METHODS.items() if spec.one_shot is None} == {"ours", "mmd"}
+
+    @pytest.mark.parametrize("name", ["ours", "single-sr", "single-ent"])
+    @pytest.mark.parametrize(
+        "window",
+        [[0.5, np.nan, 0.7], [0.5, np.inf, 0.6], [-np.inf, 0.5, 0.6], [[0.5, 0.6], [0.7, 0.8]]],
+        ids=["nan", "inf", "-inf", "2-d"],
+    )
+    def test_score_adaptors_reject_bad_windows(self, name, window):
+        method = METHODS[name].build(gen_scores(BetaDist(5, 1), 400, seed=88), MethodSettings())
+        with pytest.raises(ValueError, match="window"):
+            method.p_value(np.array(window), seed=0)
+
+    def test_score_adaptors_build_no_score_sample(self, monkeypatch):
+        # Each window's p-value is read from the raw array: with ScoreSample
+        # and detect unusable, the adaptors still score a window, and give
+        # the p-values they gave before.
+        train = gen_scores(BetaDist(5, 1), 400, seed=89)
+        window = gen_scores(BetaDist(2, 2), 20, seed=90).scores.copy()
+        methods = [METHODS[name].build(train, MethodSettings()) for name in ("ours", "single-sr")]
+        before = [method.p_value(window, seed=0) for method in methods]
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("built per window")
+
+        monkeypatch.setattr(ScoreSample, "__post_init__", unusable)
+        monkeypatch.setattr(eval_module, "detect", unusable)
+        assert [method.p_value(window, seed=0) for method in methods] == before
+        with pytest.raises(ValueError, match="k >= 2"):
+            methods[0].p_value(window[:1], seed=0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,38 @@ class TestMedianHeuristic:
             fallbacks += np.median(dists) == 0.0
             assert median_heuristic_bandwidth(sq) == median_bandwidth_triu(sq)
         assert fallbacks >= 10
+
+
+class TestSqDistances:
+    @staticmethod
+    def whole_matrix(pooled):
+        norms = np.sum(pooled * pooled, axis=1)
+        sq = norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T)
+        return np.maximum(sq, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 1010])
+    def test_bits_of_the_whole_matrix_expression(self, n):
+        # Sizes below, at and above one block of rows and across several;
+        # rounded rows give exact zeros that the clip must keep.
+        block = stats_module._SQ_BLOCK_ROWS
+        assert 2 < block < 130
+        rng = np.random.default_rng(n)
+        for rows in (rng.dirichlet(np.ones(10), n), np.round(rng.standard_normal((n, 3)))):
+            got = stats_module._sq_distances(rows)
+            assert got.tobytes() == self.whole_matrix(rows).tobytes()
+
+    def test_peak_memory_is_one_matrix(self):
+        # The n x n matrix plus one block of rows: the whole-matrix
+        # expression holds two n x n arrays at once.
+        n = 1100
+        rows = np.random.default_rng(16).dirichlet(np.ones(10), n)
+        tracemalloc.start()
+        try:
+            stats_module._sq_distances(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestPermutationMmd:
