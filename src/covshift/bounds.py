@@ -61,6 +61,9 @@ def _check_query(m, successes, delta) -> tuple[int, int]:
     m, successes = _check_counts(m, successes, "successes")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    # The solver works with 1 - delta, which is 1 for delta <= 2**-54.
+    if 1.0 - delta == 1.0:
+        raise ValueError(f"delta must exceed 2**-54 (about 5.6e-17), got {delta}")
     return m, successes
 
 
@@ -88,6 +91,11 @@ def solve_bound(m: int, successes: int, delta: float) -> float:
     and 0 < delta < 1. For successes == m the CDF is identically 1, so no
     b meets the constraint; the result is then the exact Clopper-Pearson
     lower bound for a full-success sample, delta ** (1 / m).
+
+    delta reaches the constraint as the float 1 - delta, so a delta at or
+    below 2**-54 (about 5.6e-17), whose complement rounds to 1, is a
+    ValueError, and one up to about 1.7e-16 acts as 2**-53 (about
+    1.1e-16): off by up to a factor of 2.
     """
     m, successes = _check_query(m, successes, delta)
     if successes == m:

@@ -221,7 +221,9 @@ def violation_statistic(
     c_hat = counts / n
     violated = c_hat <= b_stars
     c = b_stars.size
-    v = float(np.add.reduce(np.where(violated, b_stars - c_hat, 0.0)) / c)
+    # b* - c_hat is >= +0 exactly on the violated coverages, so clipping it
+    # at 0 gives the gaps there and 0 elsewhere.
+    v = float(np.add.reduce(np.maximum(b_stars - c_hat, 0.0)) / c)
     # s_i counts the violated coverages that select instance i. The selected
     # sets are nested, so coverages j and l both select min(N_j, N_l)
     # instances, and sum_i s_i^2 sums that over the ordered pairs (j, l) of

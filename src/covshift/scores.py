@@ -68,7 +68,9 @@ class ScoreSample:
         arr = _frozen_array(self.scores)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("score sample must contain at least one score")
-        if not np.isfinite(arr).all():
+        # One reduction: ndarray.all's Python wrapper costs more than the
+        # test on small windows.
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise ValueError("score sample contains NaN or infinite entries")
         object.__setattr__(self, "scores", arr)
 
@@ -119,7 +121,8 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
     is tolerated. Cells take Python's float() syntax without digit-group
     underscores or non-ASCII digits, since np.loadtxt parses them.
 
-    The file must be UTF-8 text: a counting pass decodes it in chunks
+    The file must be UTF-8 text; a leading byte-order mark, as "CSV
+    UTF-8" exports write, is skipped. A counting pass decodes it in chunks
     first, so a file that does not open or decode fails with its name
     before parsing, and a blank first data row is named then. np.loadtxt
     then reads the file by its absolute path, which it never takes for a
@@ -140,7 +143,7 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: not a regular file (pipes and devices cannot be read)")
     first_line = 2 if header else 1
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             n_lines = _count_lines(fh)
             fh.seek(0)
             first_row = next(itertools.islice(fh, first_line - 1, None), "")
@@ -164,7 +167,7 @@ def read_csv_matrix(path: str, header: bool = False) -> tuple[np.ndarray, int]:
             ndmin=2,
             dtype=np.float64,
             skiprows=first_line - 1,
-            encoding="utf-8",
+            encoding="utf-8-sig",
         )
     except ValueError as exc:
         _raise_first_bad_row(path, first_line, exc)
@@ -200,7 +203,7 @@ def _raise_first_bad_row(path: str, first_line: int, cause: ValueError | None) -
     np.loadtxt accepts.
     """
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         rows = itertools.islice(fh, first_line - 1, None)
         for lineno, line in enumerate(rows, start=first_line):
             line = line.rstrip("\n")

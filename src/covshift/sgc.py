@@ -81,6 +81,12 @@ def _search(
         raise ValueError(f"SGC requires a sample of size >= 2, got m={m}")
     k = math.ceil(math.log2(m))
     per_iteration_delta = delta / k
+    if 1.0 - per_iteration_delta == 1.0:
+        raise ValueError(
+            f"delta={delta} at m={m} gives a per-iteration delta of delta / ceil(log2 m) "
+            f"= {delta} / {k} = {per_iteration_delta:.3g}, at or below 2**-54 (about "
+            "5.6e-17), where 1 - delta rounds to 1; use a larger delta"
+        )
 
     threshold = success_threshold(m, per_iteration_delta, target_coverage)
     # T = -1 reads rank m as T = 0 does: n_v = m, and no step passes.

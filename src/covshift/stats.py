@@ -3,12 +3,13 @@
 Special functions (regularized incomplete beta, Student-t CDF), the
 two-sample KS test, the permutation test of the unbiased squared MMD, the
 Welch two-sample t-test, and seeded reproducible randomness. The
-incomplete beta has one continued fraction, evaluated by one loop over
-one stream of terms; the t CDF at an integral df reads a cached prefix of
-that stream. The KS and Welch tests also take a reference prepared once
-(sorted; its moments), for callers that test many windows against one
-reference; the one-shot KS test sorts its reference and then calls
-ks_against_sorted, the one place that evaluates the two ECDFs.
+incomplete beta has one continued fraction, evaluated by one loop that
+computes each term as it goes, and one bounded cache of the front
+factor's terms that depend on (a, b) alone. The KS and Welch tests also
+take a reference prepared once (sorted; its moments), for callers that
+test many windows against one reference; the one-shot KS test sorts its
+reference and then calls ks_against_sorted, the one place that evaluates
+the two ECDFs.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -110,64 +110,6 @@ class TestResult:
 # Special functions
 # ---------------------------------------------------------------------------
 
-# The fraction gives up after this many terms. Convergence slows right at
-# the symmetry switch for huge a, b, hence the generous cap; there it can
-# still fail once a + b passes about 1e8.
-_MAX_TERMS = 5000
-
-
-def _fraction_terms(a: float, b: float):
-    # The per-term factors of the incomplete-beta continued fraction
-    # (Numerical Recipes form), term m = 1, 2, ...: the numerator and
-    # denominator of the odd coefficient m(b - m) x / ((a - 1 + 2m)(a + 2m))
-    # and of the even one -(a + m)(a + b + m) x / ((a + 2m)(a + 1 + 2m)),
-    # each without its x.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    for m in range(1, _MAX_TERMS + 1):
-        m2 = 2 * m
-        yield m * (b - m), (qam + m2) * (a + m2), -(a + m) * (qab + m), (a + m2) * (qap + m2)
-
-
-def _lentz(terms, a: float, b: float, x: float) -> float | None:
-    # Modified Lentz evaluation of the fraction for (a, b) at x over the
-    # factors terms yields; converges fast for x < (a+1)/(a+b+2). None when
-    # terms run out before it converges.
-    eps = 1e-15
-    fpmin = 1e-300
-
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for num_odd, den_odd, num_even, den_even in terms:
-        aa = num_odd * x / den_odd
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = num_even * x / den_even
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    return None
-
-
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
@@ -201,6 +143,13 @@ def _bd0(x: float, mu: float) -> float:
     return x * math.log(x / mu) + mu - x
 
 
+# Front terms of the 16 most recently used (a, b): detect asks for the t
+# CDF at df = k - 1 on every window, and a bound solve evaluates the CDF
+# and its slope at one count many times.
+_FRONT_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_FRONT_CACHE)
 def _front_terms(a: float, b: float) -> tuple:
     # The terms of _log_beta_front that depend on a and b alone: n = a + b,
     # the three _lgamma_corr terms and the log scale.
@@ -209,64 +158,80 @@ def _front_terms(a: float, b: float) -> tuple:
     return n, _lgamma_corr(a), _lgamma_corr(b), _lgamma_corr(n), log_scale
 
 
-def _log_beta_front(
-    a: float, b: float, x: float, xc: float, front: tuple | None = None
-) -> float:
+def _log_beta_front(a: float, b: float, x: float, xc: float) -> float:
     # ln( x^a xc^b / B(a, b) ) in deviance form: the naive lgamma sum
     # cancels catastrophically for large parameters, this stays at a few
-    # ulp. Symmetric under (a, x) <-> (b, xc). front is _front_terms(a, b),
-    # computed here when not given.
-    n, corr_a, corr_b, corr_n, log_scale = front or _front_terms(a, b)
+    # ulp. Symmetric under (a, x) <-> (b, xc).
+    n, corr_a, corr_b, corr_n, log_scale = _front_terms(a, b)
     return -_bd0(a, x * n) - _bd0(b, xc * n) - corr_a - corr_b + corr_n + log_scale
 
 
-# Student-t tails at integral df: detect asks for df = k - 1 on every
-# window, so the front terms and the fraction's first terms on both sides
-# of the symmetry switch are computed once per (a, b) and read back. The
-# fraction needed at most 58 terms for the t CDF's b = 0.5 at every df
-# tried from 1 to 1e8; a table covers 64.
-_CF_TABLE_TERMS = 64
-_BETA_TABLE_CACHE = 16
+# The fraction gives up after this many terms. Convergence slows right at
+# the symmetry switch for huge a, b, hence the generous cap; there it can
+# still fail once a + b passes about 1e8.
+_MAX_TERMS = 5000
 
 
-@functools.lru_cache(maxsize=_BETA_TABLE_CACHE)
-def _beta_table(a: float, b: float) -> tuple:
-    # What _incomplete_beta_xc(a, b, ...) computes from a and b alone: the
-    # front terms and the first terms of the fraction on each side.
-    return (
-        _front_terms(a, b),
-        tuple(islice(_fraction_terms(a, b), _CF_TABLE_TERMS)),
-        tuple(islice(_fraction_terms(b, a), _CF_TABLE_TERMS)),
-    )
-
-
-def _incomplete_beta_xc(
-    a: float, b: float, x: float, xc: float, table: tuple | None = None
-) -> float:
+def _incomplete_beta_xc(a: float, b: float, x: float, xc: float) -> float:
     # I_x(a, b) with the complement of x supplied exactly; callers that
     # know xc to full precision (e.g. the t CDF at tiny |t|) avoid the
-    # cancellation in 1 - x. table is _beta_table(a, b) or None; it changes
-    # the cost, not the bits.
+    # cancellation in 1 - x.
     if x == 0.0:
         return 0.0
     if xc == 0.0:
         return 1.0
-    front, lower, upper = table or (None, (), ())
-    scale = math.exp(_log_beta_front(a, b, x, xc, front))
+    scale = math.exp(_log_beta_front(a, b, x, xc))
     # Symmetry switch keeps the continued fraction in its fast-converging
-    # regime on both sides. A fraction that outruns its side's prefix runs
-    # again over the whole stream, whose first terms are the prefix's, so
-    # the result has the same bits either way.
+    # regime, x < (a+1)/(a+b+2), on both sides: it runs for (p, q) at y.
     below = x < (a + 1.0) / (a + b + 2.0)
-    p, q, y, prefix = (a, b, x, lower) if below else (b, a, xc, upper)
-    h = _lentz(prefix, p, q, y) if prefix else None
-    if h is None:
-        h = _lentz(_fraction_terms(p, q), p, q, y)
-        if h is None:
-            raise ArithmeticError(
-                f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
-            )
-    return min(1.0, scale * h / a) if below else max(0.0, 1.0 - scale * h / b)
+    p, q, y = (a, b, x) if below else (b, a, xc)
+    # Modified Lentz evaluation of the fraction (Numerical Recipes form).
+    # Term m has the odd coefficient m(q - m) y / ((p - 1 + 2m)(p + 2m))
+    # and the even one -(p + m)(p + q + m) y / ((p + 2m)(p + 1 + 2m)).
+    # m counts in floats, which skips an int-to-float conversion per
+    # operation. Each sum of counts is then exact, as in int arithmetic,
+    # and each product rounds once, so the factors have the bits of an int
+    # counter whenever p and q are floats or integers below 2**51.
+    eps = 1e-15
+    fpmin = 1e-300
+    pq = p + q
+    p_plus = p + 1.0
+    p_minus = p - 1.0
+    c = 1.0
+    d = 1.0 - pq * y / p_plus
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    m = 0.0
+    for _ in range(_MAX_TERMS):
+        m += 1.0
+        m2 = m + m
+        p_m2 = p + m2
+        aa = m * (q - m) * y / ((p_minus + m2) * p_m2)
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(p + m) * (pq + m) * y / (p_m2 * (p_plus + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return min(1.0, scale * h / a) if below else max(0.0, 1.0 - scale * h / b)
+    raise ArithmeticError(
+        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
+    )
 
 
 def incomplete_beta(a: float, b: float, x: float) -> float:
@@ -282,14 +247,10 @@ def student_t_cdf(t: float, df: float) -> float:
     """CDF of Student's t distribution with finite df > 0 degrees of freedom.
 
     The tail is the regularized incomplete beta I_x(df/2, 1/2), through
-    its one continued fraction. An integral df (an int, or a float such as
-    9.0, as detect's k - 1 always is) reads the fraction's first terms and
-    the front factor's (a, b)-only terms from a table, a cached prefix of
-    the same term stream built once per df; a fixed-size cache keeps the
-    16 most recently used. A fraction longer than the prefix runs again
-    over the whole stream, so the table changes the cost, not the bits. A
-    fractional df, such as a Welch-Satterthwaite df, rarely repeats and
-    computes every term as it goes.
+    its one continued fraction, whose terms are computed as it goes at
+    every df. The front factor's terms that depend on df alone come from
+    a cache of the 16 most recently used (a, b) that every incomplete
+    beta shares, so detect's df = k - 1 computes them once.
     """
     if not 0 < df < math.inf:
         raise ValueError(f"student_t_cdf requires a finite df > 0, got {df}")
@@ -304,9 +265,7 @@ def student_t_cdf(t: float, df: float) -> float:
     denom = df + t * t
     x = df / denom
     xc = t * t / denom
-    a = 0.5 * df
-    table = _beta_table(a, 0.5) if float(df).is_integer() else None
-    tail = 0.5 * _incomplete_beta_xc(a, 0.5, x, xc, table)
+    tail = 0.5 * _incomplete_beta_xc(0.5 * df, 0.5, x, xc)
     return 1.0 - tail if t > 0 else tail
 
 

@@ -18,8 +18,9 @@ decides every SGC step with it, and median_bandwidth_triu and
 welch_moments_numpy are the numpy expressions that the selected
 bandwidth and the reduced Welch moments replaced, and
 beta_continued_fraction, log_beta_front and incomplete_beta_xc are the
-incomplete beta as one plain loop that computes every term as it goes,
-which the library's table of cached terms must reproduce.
+incomplete beta written out with every term computed here, which the
+library's one loop and its cache of the front factor's (a, b)-only terms
+must reproduce.
 """
 
 import math

@@ -135,6 +135,29 @@ class TestSolveBound:
                     b_star = solve_bound(m, successes, delta)
                     assert abs(b_star - oracle) < 2e-6, (m, successes, delta)
 
+    @pytest.mark.parametrize("delta", [1e-17, 2.0**-54, 5e-324])
+    def test_delta_whose_complement_rounds_to_one_rejected(self, delta):
+        # The solver works with 1 - delta, which is exactly 1 here; its
+        # Newton target, the logit of 1 - delta, used to divide by zero.
+        assert 1.0 - delta == 1.0
+        calls = [
+            lambda: solve_bound(100, 50, delta),
+            lambda: bound_at_most(100, 50, delta, 0.5),
+            lambda: success_threshold(100, delta, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^delta must exceed 2\*\*-54 \(about 5.6e-17\)"):
+                call()
+
+    def test_tiny_delta_acts_as_its_rounded_complement(self):
+        # Every delta just above 2**-54 and below 3 * 2**-54 reaches the
+        # constraint as 1 - 2**-53, and so solves as delta = 2**-53 does.
+        smallest = math.nextafter(2.0**-54, 1.0)
+        want = solve_bound(100, 50, 2.0**-53)
+        for delta in (smallest, 1.6e-16):
+            assert 1.0 - delta == 1.0 - 2.0**-53
+            assert solve_bound(100, 50, delta) == want
+
     def test_monotone_in_successes_and_delta(self):
         deltas = [0.001, 0.01, 0.05, 0.1, 0.5]
         for m in (5, 20, 100):

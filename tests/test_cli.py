@@ -201,6 +201,18 @@ class TestFit:
         )
         assert not out.exists()
 
+    def test_delta_too_small_for_the_sample_exits_one(self, tmp_path, train_file):
+        # 4000 scores split delta over 12 iterations, and 1e-16 / 12 rounds
+        # away against 1: one error line, no traceback.
+        out = tmp_path / "m.json"
+        proc = run_cli(["fit", "--scores", str(train_file), "--delta", "1e-16",
+                        "--out", str(out)], timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: delta=1e-16 at m=4000 gives a per-iteration delta")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_softmax_scores_record_kappa(self, tmp_path, vector_pools):
         out = tmp_path / "m.json"
         rc = main(["fit", "--scores", str(vector_pools["softmax"]["train"]),

@@ -115,6 +115,17 @@ class TestFit:
         assert small_model.kappa_name == "raw_passthrough"
         assert len(small_model.pairs) == 10
 
+    def test_per_iteration_delta_whose_complement_rounds_to_one_rejected(self):
+        # m = 2**20 + 1 splits delta over ceil(log2 m) = 21 iterations, and
+        # 1e-15 / 21 is below 2**-54, where 1 - delta rounds to 1.
+        sample = ScoreSample(substream(7, 0).random(2**20 + 1))
+        with pytest.raises(ValueError) as info:
+            fit(sample, delta=1e-15)
+        assert str(info.value).startswith(
+            "delta=1e-15 at m=1048577 gives a per-iteration delta of delta / ceil(log2 m) "
+            "= 1e-15 / 21 = 4.76e-17, at or below 2**-54"
+        )
+
     def test_model_invariant_enforced(self):
         pair = CoverageBound(
             c_target=0.5, b_star=0.5, theta=0.5, iterations=1, empirical_coverage_at_fit=0.5

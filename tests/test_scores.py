@@ -372,8 +372,8 @@ class TestReaderByPath:
         path = tmp_path / "m.csv"
         path.write_bytes(text)
         if text.startswith("\ufeff".encode()) and not header:
-            # The BOM stays part of the first cell, as float() sees it.
-            assert _read_error(str(path)) == f"{path}: line 1: cannot parse row '\\ufeffp0,p1'"
+            # The BOM is skipped; the header row then fails as any header does.
+            assert _read_error(str(path)) == f"{path}: line 1: cannot parse row 'p0,p1'"
             return
         matrix, first_line = read_csv_matrix(str(path), header=header)
         expected = _loadtxt_line_by_line(path, int(header))
@@ -486,6 +486,61 @@ class TestReaderByPath:
             load_scores(str(path), "raw_scores")
         with pytest.raises(ValueError, match=match):
             load_vectors(str(path), VectorKind.EMBEDDING)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as "CSV UTF-8" exports write, is skipped."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def _pair(self, tmp_path, name, text):
+        plain = tmp_path / name
+        plain.write_bytes(text.encode())
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(self.BOM + text.encode())
+        return str(plain), str(marked)
+
+    def test_raw_file_loads_as_without_it(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "scores.txt", "0.1\n0.25\n-3.5\n")
+        want = load_scores(plain, "raw_scores")
+        got = load_scores(marked, "raw_scores")
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.kappa_name == want.kappa_name
+
+    def test_softmax_file_loads_as_without_it(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "probs.csv", "p0,p1,p2\n1,0,0\n0.5,0.25,0.25\n")
+        for header in (False, True):
+            for cf in (SR, ENTROPY):
+                if not header:
+                    with pytest.raises(ValueError, match="line 1: cannot parse row 'p0,p1,p2'"):
+                        load_scores(marked, "softmax_csv", cf=cf)
+                    continue
+                want = load_scores(plain, "softmax_csv", cf=cf, header=True)
+                got = load_scores(marked, "softmax_csv", cf=cf, header=True)
+                assert got.scores.tobytes() == want.scores.tobytes()
+        vectors = load_vectors(marked, VectorKind.SOFTMAX, header=True)
+        assert vectors.vectors.tobytes() == load_vectors(
+            plain, VectorKind.SOFTMAX, header=True
+        ).vectors.tobytes()
+
+    def test_mark_after_the_start_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(b"0.1\n" + self.BOM + b"0.2\n")
+        with pytest.raises(ValueError) as info:
+            load_scores(str(path), "raw_scores")
+        assert str(info.value) == f"{path}: line 2: cannot parse row '\\ufeff0.2'"
+
+    def test_mark_before_a_bad_row_keeps_its_line(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(self.BOM + b"0.1\nnope\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: cannot parse row 'nope'$"):
+            load_scores(str(path), "raw_scores")
+
+    def test_mark_then_non_utf8_named(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(self.BOM + b"0.5\n\x1f\x8b\x08\n")
+        with pytest.raises(ValueError, match=f"^{path}: not UTF-8 text: "):
+            load_scores(str(path), "raw_scores")
 
 
 def _traced_read(path) -> tuple[int, str | None]:

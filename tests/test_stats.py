@@ -152,9 +152,9 @@ def hex_or_raise(f, *args):
 class TestStudentTTables:
     """The incomplete beta and its callers equal the plain loop of oracles bit for bit.
 
-    Integral df read the fraction's first terms from a per-df table, every
-    other caller computes them as it goes; both must give the plain loop's
-    bits.
+    Every caller runs the one continued-fraction loop, which computes each
+    term as it goes, and reads the front factor's (a, b)-only terms from
+    one bounded cache; both must give the plain loop's bits at every df.
     """
 
     def test_integral_df_equal_the_plain_fraction_bit_for_bit(self):
@@ -164,11 +164,7 @@ class TestStudentTTables:
                 assert student_t_cdf(t, df).hex() == want, (df, t)
                 assert student_t_cdf(t, float(df)).hex() == want, (df, t)
 
-    def test_fractional_df_run_the_plain_fraction(self, monkeypatch):
-        def no_table(a, b):
-            raise AssertionError("a fractional df built a table")
-
-        monkeypatch.setattr(stats_module, "_beta_table", no_table)
+    def test_fractional_df_run_the_plain_fraction(self):
         dfs = [0.5, 2.5, 23.803387046967142, 1e5 + 0.5]
         dfs += [float(df) for df in 10.0 ** substream(23, 0).uniform(-1.0, 6.0, 40) if df % 1.0]
         for df in dfs:
@@ -230,40 +226,21 @@ class TestStudentTTables:
             want = math.exp(oracles.log_beta_front(s + 1, m - s, b, 1.0 - b)) / (b * (1.0 - b))
             assert bounds._cdf_slope(s, m, b).hex() == want.hex(), (s, m, b)
 
-    @pytest.mark.parametrize("terms", [1, 3, 8])
-    def test_fractions_longer_than_the_table_keep_their_bits(self, terms, monkeypatch):
-        # Short tables end before some fractions converge, which then run
-        # again over the whole term stream; they must give the same bits.
-        monkeypatch.setattr(stats_module, "_CF_TABLE_TERMS", terms)
-        stats_module._beta_table.cache_clear()
-        ran_out = []
-        real = stats_module._lentz
-
-        def recording(term_source, a, b, x):
-            h = real(term_source, a, b, x)
-            if isinstance(term_source, tuple):
-                ran_out.append(h is None)
-            return h
-
-        monkeypatch.setattr(stats_module, "_lentz", recording)
+    def test_front_term_cache_is_bounded(self):
+        stats_module._front_terms.cache_clear()
         try:
-            for df in (1, 2, 9, 99, 10**5):
-                _, lower, upper = stats_module._beta_table(0.5 * df, 0.5)
-                assert len(lower) == len(upper) == terms
-                for t in t_grid(df):
-                    assert student_t_cdf(t, df).hex() == plain_t_cdf(t, df).hex(), (df, t)
+            student_t_cdf(-1.5, 9)
+            student_t_cdf(-2.5, 9)
+            info = stats_module._front_terms.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            for df in range(1, 3 * stats_module._FRONT_CACHE):
+                student_t_cdf(-1.5, df)
+            info = stats_module._front_terms.cache_info()
+            assert info.currsize == info.maxsize == stats_module._FRONT_CACHE == 16
+            student_t_cdf(-2.5, df)
+            assert stats_module._front_terms.cache_info().hits == info.hits + 1
         finally:
-            stats_module._beta_table.cache_clear()
-        assert any(ran_out) and not all(ran_out)
-
-    def test_table_cache_is_bounded(self):
-        stats_module._beta_table.cache_clear()
-        for df in range(1, 3 * stats_module._BETA_TABLE_CACHE):
-            student_t_cdf(-1.5, df)
-        info = stats_module._beta_table.cache_info()
-        assert info.currsize == info.maxsize == stats_module._BETA_TABLE_CACHE
-        student_t_cdf(-2.5, df)
-        assert stats_module._beta_table.cache_info().hits == info.hits + 1
+            stats_module._front_terms.cache_clear()
 
     def test_a_fraction_that_does_not_converge_raises(self, monkeypatch):
         # With the term cap cut to 2, every path to the fraction raises
@@ -273,7 +250,7 @@ class TestStudentTTables:
         q = (10**6, 500_000, 0.01)
         b_star = solve_bound(*q)
         monkeypatch.setattr(stats_module, "_MAX_TERMS", 2)
-        stats_module._beta_table.cache_clear()
+        stats_module._front_terms.cache_clear()
         try:
             # Each incomplete beta and each df below evaluates one point on
             # either side of the symmetry switch.
@@ -296,7 +273,7 @@ class TestStudentTTables:
             assert not bound_at_most(*q, b_star - 1.0 / bounds._GRID)
             assert solved == [q, q]
         finally:
-            stats_module._beta_table.cache_clear()
+            stats_module._front_terms.cache_clear()
 
 
 class TestKsTwoSample:
