@@ -19,9 +19,9 @@ bound_at_most answers that for one count from one CDF evaluation at the
 grid point at or below c, and solves the bound only when that evaluation
 lies within the bracket's rounding margin of the limit. Since b* rises
 with the count, success_threshold turns those answers into one count per
-target coverage, found by galloping and bisecting from a normal
-approximation in a few bound_at_most calls, and the search compares each
-of its counts below m with it.
+target coverage, found by walking one count at a time from a
+skew-corrected normal approximation in a few bound_at_most calls, and
+the search compares each of its counts below m with it.
 """
 
 from __future__ import annotations
@@ -72,10 +72,8 @@ def binomial_cdf(x: int, m: int, b: float) -> float:
     m, x = _check_counts(m, x, "x")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must lie in [0, 1], got {b}")
-    if x == m or b == 0.0:
+    if x == m:
         return 1.0
-    if b == 1.0:
-        return 0.0
     # BinomialCDF(x; m, b) = I_{1-b}(m-x, x+1) at every m and count. Its
     # continued fraction switches sides at the mean, so thin tails converge
     # fast too: over random queries it took at most 43 terms at m <= 1000
@@ -158,38 +156,34 @@ def success_threshold(m: int, delta: float, c: float) -> int:
 
     The bound rises with the success count, so for s < m the answer of
     bound_at_most is True up to this threshold and False above it. The
-    search starts at the normal-approximation quantile of Binomial(m, c)
-    with mass delta above it, gallops away from it until the answer
-    flips, and bisects the last gallop step, deciding every count it
-    tests with bound_at_most. successes == m lies outside that range: its
-    bound delta ** (1 / m) is not a grid point and can sit below the
-    bound at m - 1.
+    search starts at the Cornish-Fisher quantile of Binomial(m, c) with
+    mass delta above it (the normal quantile plus its skew term) and
+    walks one count at a time until the answer flips, deciding each count
+    with bound_at_most. That start usually lies within a count or two of
+    the threshold, so a search takes a few bound_at_most calls.
+    successes == m lies outside that range: its bound delta ** (1 / m) is
+    not a grid point and can sit below the bound at m - 1. c below the
+    first grid point 1 / _GRID gives -1 and c of 1 or more gives m - 1; a
+    NaN c is a ValueError.
     """
     m, _ = _check_query(m, 0, delta)
-    q = min(max(c, 0.0), 1.0)
-    start = m * q + _upper_normal_quantile(delta) * math.sqrt(m * q * (1.0 - q)) - 0.5
-    s = min(max(math.floor(start), 0), m - 1)
-    # lo is -1 or a count that bound_at_most accepts, hi is m or one it rejects.
-    step = 1
+    if math.isnan(c):
+        raise ValueError(f"c must be a number, got {c}")
+    # Below m successes every bound is a positive multiple of 1 / _GRID.
+    if c < 1.0 / _GRID:
+        return -1
+    q = min(c, 1.0)
+    z = _upper_normal_quantile(delta)
+    skew = (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
+    s = min(max(math.floor(m * q + z * math.sqrt(m * q * (1.0 - q)) + skew - 0.5), 0), m - 1)
     if bound_at_most(m, s, delta, c):
-        lo = s
-        while lo + step < m and bound_at_most(m, lo + step, delta, c):
-            lo += step
-            step *= 2
-        hi = min(lo + step, m)
-    else:
-        hi = s
-        while hi - step >= 0 and not bound_at_most(m, hi - step, delta, c):
-            hi -= step
-            step *= 2
-        lo = max(hi - step, -1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound_at_most(m, mid, delta, c):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        while s + 1 < m and bound_at_most(m, s + 1, delta, c):
+            s += 1
+        return s
+    s -= 1
+    while s >= 0 and not bound_at_most(m, s, delta, c):
+        s -= 1
+    return s
 
 
 # The bisection halves [0, 1] until it is no wider than BISECTION_TOL, so

@@ -323,9 +323,13 @@ def _json_pairs(value: object) -> list:
 
 
 def load_model(path: str) -> DetectorModel:
-    """Load a model file, checking format version and invariants."""
+    """Load a model file, checking format version and invariants.
+
+    A leading UTF-8 byte-order mark is skipped; one anywhere else makes
+    the file malformed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from None

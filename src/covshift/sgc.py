@@ -4,9 +4,10 @@ Binary search over the ascending scores x_(1) <= ... <= x_(m) of a
 detection-training sample for a threshold x_(z) whose coverage lower bound,
 at confidence delta / ceil(log2 m) on its successes count(x >= x_(z)),
 matches a target coverage. bounds.success_threshold first finds the largest
-count T < m whose bound is at most the target. The steps then read four
-integers and no score: m, T, n_min = count(x <= x_(1)) and
-n_v = count(x <= x_(m - T)), which a streaming pass could supply as well.
+count T < m whose bound is at most the target, and the search decides once
+whether the bound at m successes is too. The steps then read four integers
+and no score: m, T, n_min = count(x <= x_(1)) and n_v = count(x <= x_(m - T)),
+which a streaming pass could supply as well.
 run_sgc reads and solves only the final iteration's pair; iter_sgc reads
 and solves every iteration's for its trace.
 """
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_at_most, solve_bound, success_threshold
+from .bounds import solve_bound, success_threshold
 
 __all__ = [
     "CoverageBound",
@@ -69,8 +70,9 @@ def _search(
 
     Each step is (z_min, z_max, z). It moves toward higher coverage
     (z_max = z) when z > n_v, since count(x >= x_(z)) <= T exactly then, or
-    when z <= n_min, where every score succeeds, and bound_at_most accepts
-    the bound at m successes; otherwise toward lower coverage (z_min = z).
+    when z <= n_min, where every score succeeds, and the bound at m
+    successes, decided once per search, is at most the target; otherwise
+    toward lower coverage (z_min = z).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -92,14 +94,15 @@ def _search(
     # T = -1 reads rank m as T = 0 does: n_v = m, and no step passes.
     ranks = [0, m - max(threshold, 0) - 1]
     n_min, n_v = np.searchsorted(sorted_scores, sorted_scores[ranks], side="right").tolist()
+    # The bound at m successes is solve_bound's closed form delta ** (1 / m),
+    # not the bisection's grid point: outside the threshold's monotone range.
+    all_succeed_passes = per_iteration_delta ** (1.0 / m) <= target_coverage
     steps = []
     z_min, z_max = 1, m
     for _ in range(k):
         z = (z_min + z_max + 1) // 2
         steps.append((z_min, z_max, z))
-        # The bound at m successes is delta ** (1 / m), not the bisection's
-        # grid point: outside the threshold's monotone range.
-        if z > n_v or (z <= n_min and bound_at_most(m, m, per_iteration_delta, target_coverage)):
+        if z > n_v or (all_succeed_passes and z <= n_min):
             z_max = z
         else:
             z_min = z

@@ -258,8 +258,6 @@ def student_t_cdf(t: float, df: float) -> float:
         raise ValueError("student_t_cdf requires a finite t")
     if math.isinf(t):
         return 1.0 if t > 0 else 0.0
-    if t == 0.0:
-        return 0.5
     # x and its complement computed independently: near t = 0 the value
     # 1 - df/(df+t^2) would lose most of its digits.
     denom = df + t * t

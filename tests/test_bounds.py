@@ -469,8 +469,35 @@ class TestSuccessThreshold:
         monkeypatch.setattr(bounds, "solve_bound", lambda *q: solved[q])
         assert success_threshold(m, delta, c) == expected
 
+    @pytest.mark.parametrize("m", [10_000, 1_000_000, 10_000_000])
+    def test_boundary_at_large_samples(self, m):
+        # SGC's per-step delta at each overall delta, over the fit's grid
+        # and coverages near either end.
+        k = math.ceil(math.log2(m))
+        coverages = [float(c) for c in coverage_grid(10)] + [1e-3, 0.999]
+        for delta in (0.01 / k, 1e-6 / k, 1e-12 / k):
+            for c in coverages:
+                threshold = success_threshold(m, delta, c)
+                assert -1 <= threshold < m
+                if threshold >= 0:
+                    assert bound_at_most(m, threshold, delta, c), (m, delta, c)
+                if threshold + 1 < m:
+                    assert not bound_at_most(m, threshold + 1, delta, c), (m, delta, c)
+
+    def test_coverage_outside_the_bounds_range(self):
+        # No bound below m successes is under the first grid point, and
+        # none exceeds 1.
+        for delta in (0.01, 1e-15):
+            for c in (-0.5, -math.inf, 0.0, 2.0**-35):
+                assert not bound_at_most(1000, 0, delta, c)
+                assert success_threshold(1000, delta, c) == -1
+            for c in (1.0, 1.5, math.inf):
+                assert success_threshold(1000, delta, c) == 999
+
     def test_query_validation(self):
         with pytest.raises(ValueError, match="delta"):
             success_threshold(10, 0.0, 0.5)
         with pytest.raises(ValueError, match="m must"):
             success_threshold(0, 0.1, 0.5)
+        with pytest.raises(ValueError, match="^c must be a number, got nan$"):
+            success_threshold(100, 0.01, math.nan)

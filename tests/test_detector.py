@@ -405,8 +405,8 @@ class TestSolvedDecisions:
     def test_pinned_fit_when_every_decision_solves(self, m, monkeypatch):
         # No CDF clears an infinite margin, so every SGC decision solves its
         # bound and every solve bisects without a bracket. The decisions
-        # are the bound_at_most calls, made by the success threshold's
-        # search and by steps where every score succeeds.
+        # are the bound_at_most calls of the success threshold's search;
+        # the bound at m successes is decided from its closed form.
         decisions = solves = 0
         at_most, solve = bounds.bound_at_most, bounds.solve_bound
 
@@ -422,7 +422,6 @@ class TestSolvedDecisions:
 
         monkeypatch.setattr(bounds, "_margin", lambda delta, limit: math.inf)
         monkeypatch.setattr(bounds, "bound_at_most", counting_decisions)
-        monkeypatch.setattr(sgc, "bound_at_most", counting_decisions)
         monkeypatch.setattr(bounds, "solve_bound", counting_solves)
         monkeypatch.setattr(sgc, "solve_bound", counting_solves)
         model = fit(gen_scores(BetaDist(5.0, 1.0), m, seed=3), delta=0.01, c_target_count=10)
@@ -851,6 +850,29 @@ class TestModelSerialization:
         path.write_bytes(b"\x1f\x8b\x08\x00")
         match = f"^{path}: not a valid model file: 'utf-8' codec can't decode byte 0x8b"
         with pytest.raises(ModelFormatError, match=match):
+            load_model(str(path))
+
+    def test_leading_byte_order_mark_skipped(self, small_model, tmp_path):
+        # Editors that save "UTF-8 with BOM" prefix the file with U+FEFF.
+        plain = tmp_path / "model.json"
+        save_model(small_model, str(plain))
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_model(str(marked)) == load_model(str(plain)) == small_model
+
+    @pytest.mark.parametrize("where", ["twice", "inside", "end"])
+    def test_byte_order_mark_elsewhere_rejected(self, small_model, tmp_path, where):
+        path = tmp_path / "model.json"
+        save_model(small_model, str(path))
+        text = path.read_bytes()
+        mark = b"\xef\xbb\xbf"
+        edited = {
+            "twice": mark + mark + text,
+            "inside": text.replace(b"{", b"{" + mark, 1),
+            "end": text + mark,
+        }[where]
+        path.write_bytes(edited)
+        with pytest.raises(ModelFormatError, match=f"^{path}: not a valid model file: "):
             load_model(str(path))
 
     def test_future_version_rejected(self, small_model, tmp_path):

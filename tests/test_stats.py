@@ -70,6 +70,10 @@ class TestSpecialFunctions:
         for df in (1, 2, 3.5, 30, 10**6):
             assert student_t_cdf(0.0, df) == 0.5
 
+    def test_student_t_cdf_negative_zero(self):
+        for df in (1, 3.5, 10**6):
+            assert student_t_cdf(-0.0, df) == 0.5
+
     def test_student_t_cdf_symmetry_identity(self):
         for df in (1, 4, 77, 1e5):
             for t in (0.3, 1.2, 4.5):
