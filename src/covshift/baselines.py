@@ -7,6 +7,11 @@ cap is the one documented exception, mirroring kernel-size limits).
 This is exactly the property the complexity benchmark (covshift bench)
 measures against.
 
+The reference is a sample object: a VectorSample, or a ScoreSample whose
+kappa label the single-instance test checks against its estimator. The
+window is a bare NumPy array of rows from a pool validated when loaded:
+(k, d) finite rows for KS and MMD, 1-D scores for the single-instance test.
+
 detect_ks calls stats.ks_two_sample per column, which sorts the
 reference column and then calls stats.ks_against_sorted.
 detect_ks_sorted is the fitted form of detect_ks: the eval adaptors
@@ -119,22 +124,23 @@ def load_vectors(path: str, kind: VectorKind, header: bool = False) -> VectorSam
     return VectorSample(vectors=matrix, kind=kind, source=path, first_line=first_line)
 
 
-def _check_dims(ref_dim: int, window_dim: int) -> None:
-    if ref_dim != window_dim:
-        raise ValueError(f"dimension mismatch: reference d={ref_dim}, window d={window_dim}")
+def _check_window(d: int, window: np.ndarray) -> None:
+    # A (k, d) window of finite values against a reference of d columns.
+    if window.ndim != 2 or window.shape[1] != d:
+        raise ValueError(f"dimension mismatch: window shape {window.shape}, reference d={d}")
+    if not np.isfinite(window).all():
+        raise ValueError("window contains NaN or infinite values")
 
 
-def detect_ks(ref: VectorSample, window: VectorSample) -> TestResult:
+def detect_ks(ref: VectorSample, window: np.ndarray) -> TestResult:
     """Per-dimension KS tests aggregated with a Bonferroni correction.
 
     The p-value is min(1, d * min_p), min_p being the smallest of the d
     per-dimension p-values; detail holds min_p and argmin_dimension, the
     first dimension that has it.
     """
-    _check_dims(ref.dim, window.dim)
-    return _bonferroni(
-        [ks_two_sample(ref.vectors[:, j], window.vectors[:, j]) for j in range(ref.dim)]
-    )
+    _check_window(ref.dim, window)
+    return _bonferroni([ks_two_sample(ref.vectors[:, j], window[:, j]) for j in range(ref.dim)])
 
 
 def sort_columns(ref: VectorSample) -> np.ndarray:
@@ -149,11 +155,11 @@ def sort_columns(ref: VectorSample) -> np.ndarray:
     return columns
 
 
-def detect_ks_sorted(columns: np.ndarray, window: VectorSample) -> TestResult:
+def detect_ks_sorted(columns: np.ndarray, window: np.ndarray) -> TestResult:
     """detect_ks against the reference columns from sort_columns(ref), bit for bit."""
-    _check_dims(columns.shape[0], window.dim)
+    _check_window(columns.shape[0], window)
     return _bonferroni(
-        [ks_against_sorted(column, window.vectors[:, j]) for j, column in enumerate(columns)]
+        [ks_against_sorted(column, window[:, j]) for j, column in enumerate(columns)]
     )
 
 
@@ -169,34 +175,28 @@ def _bonferroni(results: list[TestResult]) -> TestResult:
 
 def detect_mmd(
     ref: VectorSample,
-    window: VectorSample,
+    window: np.ndarray,
     n_permutations: int,
     seed: int = 0,
 ) -> TestResult:
     """MMD permutation test, with the reference capped by seeded subsampling."""
-    _check_dims(ref.dim, window.dim)
+    _check_window(ref.dim, window)
     ref_rows = ref.vectors
     if len(ref) > MMD_REF_CAP_DEFAULT:
         idx = substream(seed, 0).choice(len(ref), size=MMD_REF_CAP_DEFAULT, replace=False)
         ref_rows = ref.vectors[np.sort(idx)]
-    return permutation_test_mmd(ref_rows, window.vectors, n_permutations=n_permutations, seed=seed)
+    return permutation_test_mmd(ref_rows, window, n_permutations=n_permutations, seed=seed)
 
 
 def detect_single_instance(
     ref_scores: ScoreSample,
-    window_scores: ScoreSample,
+    window: np.ndarray,
     estimator: SingleInstanceEstimator,
 ) -> TestResult:
-    """Welch two-sample t-test between reference and window score populations.
+    """Welch two-sample t-test between the reference scores and a 1-D window.
 
-    Both samples must carry the same kappa label; when that label names a
-    confidence function it must also match the claimed estimator.
+    The reference's kappa label must match the claimed estimator;
     raw_passthrough scores are accepted as caller-asserted.
     """
-    if ref_scores.kappa_name != window_scores.kappa_name:
-        raise ValueError(
-            f"estimator mismatch: reference kappa {ref_scores.kappa_name!r} vs "
-            f"window kappa {window_scores.kappa_name!r}"
-        )
     estimator.check_kappa(ref_scores.kappa_name)
-    return t_test_two_sample_welch(ref_scores.scores, window_scores.scores)
+    return t_test_two_sample_welch(ref_scores.scores, window)

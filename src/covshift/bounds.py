@@ -36,20 +36,21 @@ __all__ = ["binomial_cdf", "bound_at_most", "solve_bound", "success_threshold"]
 BISECTION_TOL = 1e-10
 
 
+def _integer(name: str, value) -> int:
+    # A Python or numpy integer, returned as a Python int so that no product
+    # of counts overflows a numpy integer's width. Bools and floats, even
+    # integral ones, are refused rather than truncated.
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_counts(m, x, x_name: str) -> tuple[int, int]:
-    # m >= 1 trials and x in [0, m] successes, each a Python or numpy
-    # integer; bools and integral floats name no binomial and are refused.
-    # They are returned as Python ints, so that no product of counts
-    # overflows a numpy integer's width.
-    counts = []
-    for name, value in (("m", m), (x_name, x)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        try:
-            counts.append(operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    m, x = counts
+    # m >= 1 trials and x in [0, m] successes, each an integer (_integer).
+    m, x = _integer("m", m), _integer(x_name, x)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 <= x <= m:

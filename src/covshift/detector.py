@@ -282,24 +282,31 @@ def write_atomic(path: str, text: str) -> None:
     The temp file is created with the mode a plain open() would give it
     (0o666 less the umask, applied by the kernel), or takes the mode of
     the file it replaces. The data is synced to disk before the rename.
+    An OSError that names the temp file (a missing directory, a path that
+    is a directory) is raised again naming path.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            try:
-                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
-            except FileNotFoundError:
-                pass
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                try:
+                    os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+                except FileNotFoundError:
+                    pass
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp_path:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 # A count must be an integer literal: int() would truncate 500.9 and accept

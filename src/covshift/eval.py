@@ -25,6 +25,8 @@ from .baselines import (
     detect_single_instance,
     sort_columns,
 )
+from .bounds import _integer
+
 # detect itself is not called here: the "ours" adaptor reads
 # violation_statistic directly. The name stays importable as
 # covshift.eval.detect, where perfbench's tracer wraps it.
@@ -110,14 +112,18 @@ class TrialPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sizes = tuple(sorted(set(int(s) for s in self.window_sizes)))
+        sizes = tuple(sorted(set(_integer("window size", s) for s in self.window_sizes)))
         if not sizes or any(s < 2 for s in sizes):
             raise ValueError("window sizes must all be >= 2")
-        if self.n_trials < 1:
+        n_trials = _integer("n_trials", self.n_trials)
+        if n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         object.__setattr__(self, "window_sizes", sizes)
+        object.__setattr__(self, "n_trials", n_trials)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+
 
 
 def _grouped_counts(scores: np.ndarray, positives: np.ndarray):
@@ -413,8 +419,7 @@ class KsMethod:
         self.columns = sort_columns(self.ref)
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
-        sample = VectorSample(window, kind=self.ref.kind)
-        return detect_ks_sorted(self.columns, sample).p_value
+        return detect_ks_sorted(self.columns, window).p_value
 
 
 @dataclass
@@ -424,8 +429,7 @@ class MmdMethod:
     n_permutations: int = DEFAULT_PERMUTATIONS
 
     def p_value(self, window: np.ndarray, seed: int) -> float:
-        sample = VectorSample(window, kind=self.ref.kind)
-        return detect_mmd(self.ref, sample, self.n_permutations, seed).p_value
+        return detect_mmd(self.ref, window, self.n_permutations, seed).p_value
 
 
 @dataclass
@@ -484,18 +488,6 @@ class MethodSpec(NamedTuple):
     one_shot: Callable[[Pool, np.ndarray], float] | None = None
 
 
-def _ks_one_shot(ref: VectorSample, window: np.ndarray) -> float:
-    return detect_ks(ref, VectorSample(window, kind=ref.kind)).p_value
-
-
-def _single_one_shot(estimator: SingleInstanceEstimator):
-    def p_value(ref: ScoreSample, window: np.ndarray) -> float:
-        sample = ScoreSample(scores=window, kappa_name=ref.kappa_name)
-        return detect_single_instance(ref, sample, estimator).p_value
-
-    return p_value
-
-
 METHODS: dict[str, MethodSpec] = {
     "ours": MethodSpec(
         "score",
@@ -503,17 +495,19 @@ METHODS: dict[str, MethodSpec] = {
             fit(ref, delta=s.delta, c_target_count=s.c_target_count)
         ),
     ),
-    "ks": MethodSpec("vector", lambda ref, s: KsMethod(ref), _ks_one_shot),
+    "ks": MethodSpec(
+        "vector", lambda ref, s: KsMethod(ref), lambda ref, w: detect_ks(ref, w).p_value
+    ),
     "mmd": MethodSpec("vector", lambda ref, s: MmdMethod(ref, n_permutations=s.n_permutations)),
     "single-sr": MethodSpec(
         "score",
         lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.SR),
-        _single_one_shot(SingleInstanceEstimator.SR),
+        lambda ref, w: detect_single_instance(ref, w, SingleInstanceEstimator.SR).p_value,
     ),
     "single-ent": MethodSpec(
         "score",
         lambda ref, s: SingleInstanceMethod(ref, SingleInstanceEstimator.ENTROPY),
-        _single_one_shot(SingleInstanceEstimator.ENTROPY),
+        lambda ref, w: detect_single_instance(ref, w, SingleInstanceEstimator.ENTROPY).p_value,
     ),
 }
 

@@ -315,6 +315,11 @@ def ks_against_sorted(sorted_a: np.ndarray, b) -> TestResult:
     n_a, n_b = sorted_a.size, ys.size
     if n_a == 0 or n_b == 0:
         raise ValueError("ks_against_sorted requires two nonempty samples")
+    # NaN sorts last and -inf first, so the ends of each sorted sample show
+    # any non-finite value.
+    if not (-math.inf < sorted_a[0] and sorted_a[-1] < math.inf
+            and -math.inf < ys[0] and ys[-1] < math.inf):
+        raise ValueError("KS test: a sample holds a NaN or infinite value")
     z = 0.0
     for side in ("right", "left"):
         cdf_a = np.searchsorted(sorted_a, ys, side=side) / n_a
@@ -514,6 +519,13 @@ def welch_moments(a) -> WelchMoments:
     if n < 2:
         raise ValueError("t_test_two_sample_welch requires n >= 2 per sample")
     mean = np.add.reduce(xs) / n
+    # Any NaN or infinite value, or a sum past the float64 range, leaves the
+    # mean non-finite; xs - mean would then warn and the df turn to NaN.
+    if not math.isfinite(mean):
+        raise ValueError(
+            "t_test_two_sample_welch: a sample holds a NaN or infinite value, "
+            "or a sum that overflows"
+        )
     dev = xs - mean
     var = np.add.reduce(dev * dev) / (n - 1)
     return WelchMoments(float(mean), float(var), n)

@@ -99,19 +99,13 @@ class TestDetectKs:
         a = substream(20, 0).standard_normal(80)
         b = substream(21, 0).standard_normal(40) + 0.5
         direct = ks_two_sample(a, b)
-        wrapped = detect_ks(
-            VectorSample(a[:, None], VectorKind.EMBEDDING),
-            VectorSample(b[:, None], VectorKind.EMBEDDING),
-        )
+        wrapped = detect_ks(VectorSample(a[:, None], VectorKind.EMBEDDING), b[:, None])
         assert wrapped.statistic == direct.statistic
         assert wrapped.p_value == pytest.approx(min(1.0, direct.p_value), abs=1e-15)
 
     def test_identical_pools_aggregate_p_clamped(self):
         rows = substream(22, 0).standard_normal((60, 4))
-        r = detect_ks(
-            VectorSample(rows, VectorKind.EMBEDDING),
-            VectorSample(rows[:30], VectorKind.EMBEDDING),
-        )
+        r = detect_ks(VectorSample(rows, VectorKind.EMBEDDING), rows[:30])
         assert r.p_value == 1.0
 
     def test_shifted_dimension_found(self):
@@ -119,34 +113,28 @@ class TestDetectKs:
             ref = substream(23, seed).standard_normal((200, 5))
             win = substream(24, seed).standard_normal((100, 5))
             win[:, 3] += 3.0
-            r = detect_ks(
-                VectorSample(ref, VectorKind.EMBEDDING),
-                VectorSample(win, VectorKind.EMBEDDING),
-            )
+            r = detect_ks(VectorSample(ref, VectorKind.EMBEDDING), win)
             assert r.detail["argmin_dimension"] == 3
             assert r.p_value < 0.05
 
     def test_dimension_order_invariance(self):
         ref = substream(25, 0).standard_normal((100, 4))
         win = substream(26, 0).standard_normal((50, 4)) + 0.4
-        base = detect_ks(
-            VectorSample(ref, VectorKind.EMBEDDING),
-            VectorSample(win, VectorKind.EMBEDDING),
-        )
+        base = detect_ks(VectorSample(ref, VectorKind.EMBEDDING), win)
         perm = [2, 0, 3, 1]
-        permuted = detect_ks(
-            VectorSample(ref[:, perm], VectorKind.EMBEDDING),
-            VectorSample(win[:, perm], VectorKind.EMBEDDING),
-        )
+        permuted = detect_ks(VectorSample(ref[:, perm], VectorKind.EMBEDDING), win[:, perm])
         assert permuted.p_value == base.p_value
         assert permuted.statistic == base.statistic
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            detect_ks(
-                VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING),
-                VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING),
-            )
+            detect_ks(VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_window_rejected(self, bad):
+        ref = VectorSample(substream(27, 0).standard_normal((20, 2)), VectorKind.EMBEDDING)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            detect_ks(ref, np.array([[0.5, 0.5], [bad, 0.5]]))
 
 
 class TestDetectKsSorted:
@@ -163,9 +151,8 @@ class TestDetectKsSorted:
                 ref = rng.standard_normal((m, d))
                 win = rng.standard_normal((k, d)) + rng.uniform(-0.5, 0.5)
             ref_sample = VectorSample(ref, VectorKind.EMBEDDING)
-            window = VectorSample(win, VectorKind.EMBEDDING)
-            fitted = detect_ks_sorted(sort_columns(ref_sample), window)
-            direct = detect_ks(ref_sample, window)
+            fitted = detect_ks_sorted(sort_columns(ref_sample), win)
+            direct = detect_ks(ref_sample, win)
             assert (fitted.statistic, fitted.p_value) == (direct.statistic, direct.p_value)
             assert dict(fitted.detail) == dict(direct.detail)
 
@@ -180,30 +167,27 @@ class TestDetectKsSorted:
 
     def test_dimension_mismatch(self):
         ref = VectorSample(np.zeros((5, 2)), VectorKind.EMBEDDING)
-        window = VectorSample(np.zeros((5, 3)), VectorKind.EMBEDDING)
         with pytest.raises(ValueError, match="dimension"):
-            detect_ks_sorted(sort_columns(ref), window)
+            detect_ks_sorted(sort_columns(ref), np.zeros((5, 3)))
 
 
 class TestDetectMmd:
     def test_reference_cap_seeded_and_recorded(self):
         ref = VectorSample(substream(30, 0).standard_normal((5000, 2)), VectorKind.EMBEDDING)
-        win = VectorSample(substream(31, 0).standard_normal((40, 2)), VectorKind.EMBEDDING)
+        win = substream(31, 0).standard_normal((40, 2))
         a = detect_mmd(ref, win, n_permutations=20, seed=5)
         b = detect_mmd(ref, win, n_permutations=20, seed=5)
         assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
         # The reference is capped at 1000 rows drawn from the seed's substream 0.
         rows = ref.vectors[np.sort(substream(5, 0).choice(5000, 1000, replace=False))]
-        capped = permutation_test_mmd(rows, win.vectors, n_permutations=20, seed=5)
+        capped = permutation_test_mmd(rows, win, n_permutations=20, seed=5)
         assert (a.statistic, a.p_value, dict(a.detail)) == (
             capped.statistic, capped.p_value, dict(capped.detail)
         )
 
     def test_disjoint_clusters_hit_add_one_floor(self):
         ref = VectorSample(substream(32, 0).standard_normal((60, 2)), VectorKind.EMBEDDING)
-        win = VectorSample(
-            substream(33, 0).standard_normal((60, 2)) + 40.0, VectorKind.EMBEDDING
-        )
+        win = substream(33, 0).standard_normal((60, 2)) + 40.0
         r = detect_mmd(ref, win, n_permutations=100, seed=0)
         assert r.p_value == pytest.approx(1.0 / 101.0)
 
@@ -211,7 +195,7 @@ class TestDetectMmd:
         rejections = 0
         for seed in range(20):
             ref = VectorSample(substream(34, seed).standard_normal((100, 2)), VectorKind.EMBEDDING)
-            win = VectorSample(substream(35, seed).standard_normal((50, 2)), VectorKind.EMBEDDING)
+            win = substream(35, seed).standard_normal((50, 2))
             r = detect_mmd(ref, win, n_permutations=100, seed=seed)
             rejections += r.p_value < 0.05
         assert rejections <= 3
@@ -220,31 +204,31 @@ class TestDetectMmd:
 class TestDetectSingleInstance:
     def test_shifted_scores_detected(self):
         ref = ScoreSample(substream(40, 0).standard_normal(1000))
-        win = ScoreSample(substream(41, 0).standard_normal(100) - 0.3)
+        win = substream(41, 0).standard_normal(100) - 0.3
         r = detect_single_instance(ref, win, estimator=SingleInstanceEstimator.SR)
         assert r.p_value < 0.01
 
     def test_identical_constant_scores_p_one(self):
         ref = ScoreSample(np.full(10, 0.7))
-        win = ScoreSample(np.full(5, 0.7))
+        win = np.full(5, 0.7)
         r = detect_single_instance(ref, win, estimator=SingleInstanceEstimator.ENTROPY)
         assert r.p_value == 1.0
 
-    def test_kappa_label_mismatch_rejected(self):
-        ref = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
-        win = ScoreSample([0.1, 0.2], kappa_name="one_minus_entropy")
-        with pytest.raises(ValueError, match="mismatch"):
-            detect_single_instance(ref, win, SingleInstanceEstimator.SR)
-
     def test_estimator_label_mismatch_rejected(self):
         ref = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
-        win = ScoreSample([0.1, 0.2], kappa_name="softmax_response")
+        win = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="mismatch"):
             detect_single_instance(ref, win, SingleInstanceEstimator.ENTROPY)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_window_rejected(self, bad):
+        ref = ScoreSample(substream(45, 0).random(50))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            detect_single_instance(ref, np.array([0.5, bad, 0.6]), SingleInstanceEstimator.SR)
+
     def test_raw_passthrough_accepted(self):
         ref = ScoreSample(substream(42, 0).random(50))
-        win = ScoreSample(substream(43, 0).random(50))
+        win = substream(43, 0).random(50)
         r = detect_single_instance(ref, win, SingleInstanceEstimator.SR)
         assert 0.0 <= r.p_value <= 1.0
 
@@ -254,7 +238,7 @@ class TestDetectSingleInstance:
         for i in range(n_trials):
             rng = substream(44, i)
             ref = ScoreSample(rng.standard_normal(500))
-            win = ScoreSample(rng.standard_normal(50))
+            win = rng.standard_normal(50)
             r = detect_single_instance(ref, win, SingleInstanceEstimator.ENTROPY)
             rejections += r.p_value < 0.05
         assert rejections / n_trials <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / n_trials)

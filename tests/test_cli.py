@@ -213,6 +213,20 @@ class TestFit:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/model.json", "taken"], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_names_the_given_path(self, tmp_path, train_file, out, monkeypatch,
+                                                 capsys):
+        # The model is written through a temp file beside --out; a failed
+        # write names --out as given, not the temp file, and leaves none.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        rc = main(["fit", "--scores", str(train_file), "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": '{out}'\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.rglob("tmp*.tmp")) == []
+
     def test_softmax_scores_record_kappa(self, tmp_path, vector_pools):
         out = tmp_path / "m.json"
         rc = main(["fit", "--scores", str(vector_pools["softmax"]["train"]),

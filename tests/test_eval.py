@@ -293,6 +293,23 @@ class TestTrialPlan:
         with pytest.raises(ValueError):
             TrialPlan(n_trials=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window_sizes", (10.9, 20)), ("window_sizes", (10, 20.0)), ("window_sizes", (True, 20)),
+         ("n_trials", 2.5), ("n_trials", 3.0), ("n_trials", True), ("seed", 1.5), ("seed", False),
+         ("seed", "1")],
+    )
+    def test_non_integers_refused(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TrialPlan(**{field: value})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        plan = TrialPlan(window_sizes=np.array([20, 10]), n_trials=np.int64(3),
+                         seed=np.uint64(2**63))
+        assert plan.window_sizes == (10, 20) and type(plan.window_sizes[0]) is int
+        assert (plan.n_trials, plan.seed) == (3, 2**63)
+        assert type(plan.n_trials) is int and type(plan.seed) is int
+
 
 class TestRunTrials:
     def make_method(self, ref_seed=70):
@@ -393,7 +410,7 @@ class TestFittedAdaptors:
             method = KsMethod(ref)
             for k in (2, 10, 57, 200):
                 window = ref.vectors[rng.integers(0, 500, k)] + rng.integers(0, 2, (k, d))
-                expected = detect_ks(ref, VectorSample(window, VectorKind.EMBEDDING)).p_value
+                expected = detect_ks(ref, window).p_value
                 assert method.p_value(window, seed=0) == expected
 
     def test_ks_build_leaves_shared_reference_alone(self):
@@ -414,8 +431,7 @@ class TestFittedAdaptors:
             ref = ScoreSample(values, kappa_name="softmax_response")
             method = SingleInstanceMethod(ref, SingleInstanceEstimator.SR)
             for window in windows:
-                sample = ScoreSample(window, kappa_name="softmax_response")
-                expected = detect_single_instance(ref, sample, SingleInstanceEstimator.SR)
+                expected = detect_single_instance(ref, window, SingleInstanceEstimator.SR)
                 assert method.p_value(window, seed=0) == expected.p_value
 
     def test_single_instance_label_mismatch_rejected_when_built(self):
@@ -450,6 +466,19 @@ class TestFittedAdaptors:
     )
     def test_score_adaptors_reject_bad_windows(self, name, window):
         method = METHODS[name].build(gen_scores(BetaDist(5, 1), 400, seed=88), MethodSettings())
+        with pytest.raises(ValueError, match="window"):
+            method.p_value(np.array(window), seed=0)
+
+    @pytest.mark.parametrize("name", ["ks", "mmd"])
+    @pytest.mark.parametrize(
+        "window",
+        [[[0.5, 0.5], [np.nan, 0.5]], [[0.5, 0.5], [np.inf, 0.0]], [[-np.inf, 1.0], [0.5, 0.5]],
+         [0.5, 0.5], [[0.5, 0.25, 0.25], [0.2, 0.4, 0.4]]],
+        ids=["nan", "inf", "-inf", "1-d", "wrong-width"],
+    )
+    def test_vector_adaptors_reject_bad_windows(self, name, window):
+        pool = gen_vectors(DirichletDist((3.0, 1.0)), 400, seed=91)
+        method = METHODS[name].build(pool, MethodSettings())
         with pytest.raises(ValueError, match="window"):
             method.p_value(np.array(window), seed=0)
 

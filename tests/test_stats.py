@@ -365,6 +365,15 @@ class TestKsAgainstSorted:
         with pytest.raises(ValueError):
             ks_against_sorted(np.array([1.0]), [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected_in_either_sample(self, bad):
+        clean = [0.1, 0.2, 0.3]
+        for a, b in ((clean, [0.3, bad]), ([0.3, bad, 0.2], clean)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                ks_two_sample(a, b)
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                ks_against_sorted(np.sort(np.array(a)), b)
+
 
 def mmd_statistic(x, y) -> tuple[float, float]:
     """Observed statistic and bandwidth of the library's one MMD estimator."""
@@ -775,6 +784,19 @@ class TestTTests:
             t_test_two_sample_welch(np.ones(4), np.ones((2, 2)))
         with pytest.raises(ValueError, match="1-D"):
             welch_moments(2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_welch_non_finite_rejected(self, bad):
+        clean = [0.1, 0.2, 0.3]
+        for a, b in ((clean, [0.3, bad, 0.2]), ([bad, 0.1, 0.2], clean)):
+            with pytest.raises(ValueError, match="NaN or infinite value"):
+                t_test_two_sample_welch(a, b)
+        with pytest.raises(ValueError, match="NaN or infinite value"):
+            t_test_welch_against(welch_moments(clean), [bad, 0.4])
+
+    def test_welch_overflowing_sum_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum that overflows"):
+            welch_moments([1e308, 1e308, 1.0])
 
     def test_welch_moments_undersized(self):
         with pytest.raises(ValueError):
