@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import detector as detector_mod
-from .detector import ModelFormatError, detect, fit, load_model, save_model, write_atomic
+from .detector import detect, fit, load_model, save_model, write_atomic
 from .scores import ConfidenceFunction, ScoreSample, load_scores
 
 # covshift.eval and covshift.baselines are imported inside the commands
@@ -32,7 +32,7 @@ EXIT_SHIFT = 2
 BENCH_CSV_HEADER = "method,m,k,fit_seconds,detect_seconds"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -325,15 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, ModelFormatError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

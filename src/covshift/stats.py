@@ -9,7 +9,10 @@ factor's terms that depend on (a, b) alone. The KS and Welch tests also
 take a reference prepared once (sorted; its moments), for callers that
 test many windows against one reference; the one-shot KS test sorts its
 reference and then calls ks_against_sorted, the one place that evaluates
-the two ECDFs.
+the two ECDFs. The Welch test has one Welch-Satterthwaite formula, read
+from each sample's share of the summed squared standard errors, so its
+df calls no libm function and t, df and p keep their bits when both
+samples are rescaled by a power of two.
 
 Everything here is a pure function of its inputs (plus an explicit seed
 where randomness is involved), so results are bit-reproducible and safe
@@ -495,6 +498,9 @@ def permutation_test_mmd(x, y, n_permutations: int, seed: int = 0) -> TestResult
 # t-tests
 # ---------------------------------------------------------------------------
 
+_FLOAT64_TINY = float(np.finfo(np.float64).tiny)
+
+
 class WelchMoments(NamedTuple):
     """Mean, unbiased variance and size of one Welch t-test sample."""
 
@@ -510,7 +516,9 @@ def welch_moments(a) -> WelchMoments:
     sum((a - mean)^2) / (n - 1), each sum one np.add.reduce: the same
     operations in the same order as np.mean and np.var(ddof=1), whose
     Python wrappers cost more than the arithmetic on small windows, so
-    both are bit-identical to them.
+    both are bit-identical to them. A sample whose mean or variance is
+    not a finite float64, or whose variance is below the smallest normal
+    float64 though its values differ, raises ValueError.
     """
     xs = np.asarray(a, dtype=np.float64)
     if xs.ndim != 1:
@@ -528,23 +536,32 @@ def welch_moments(a) -> WelchMoments:
         )
     dev = xs - mean
     var = np.add.reduce(dev * dev) / (n - 1)
+    # An overflowing square leaves the variance inf and the df inf / inf; a
+    # subnormal or underflowed variance has lost the bits t is taken from.
+    # A constant sample keeps var = 0 and the degenerate verdict.
+    if not math.isfinite(var):
+        raise ValueError("t_test_two_sample_welch: a sample's squared deviations overflow float64")
+    if var < _FLOAT64_TINY and xs.min() != xs.max():
+        raise ValueError(
+            "t_test_two_sample_welch: a sample's spread is too small for float64 "
+            "(its variance is below the smallest normal float)"
+        )
     return WelchMoments(float(mean), float(var), n)
-
-
-# From this sum of the two squared standard errors up, its square in the
-# Welch-Satterthwaite df is a normal float (at least 2**-1000). Below it
-# the squares lose precision and, for spreads below about 1e-77,
-# underflow to 0 / 0.
-_WELCH_SQUARE_SAFE = 2.0**-500
 
 
 def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
     """Two-sided Welch two-sample t-test with Welch-Satterthwaite degrees of freedom.
 
     ref holds the first sample's moments (welch_moments), b is the second
-    sample. Both samples having zero variance is degenerate: equal means
-    give p = 1 (no separation), different means give p = 0 (complete
-    separation).
+    sample. The df se^2 / (se_x^2 / (n_x - 1) + se_y^2 / (n_y - 1)), with
+    se = se_x + se_y the sum of the squared standard errors, is computed
+    divided through by se^2: it squares the shares se_x / se and se_y / se
+    in [0, 1], each as a product, so it neither under- nor overflows and
+    calls no libm function. t, df and p therefore keep their bits when
+    both samples are scaled by a power of two that leaves the standard
+    errors normal floats. Both samples having zero variance is
+    degenerate: equal means give p = 1 (no separation), different means
+    give p = 0 (complete separation).
     """
     y = welch_moments(b)
     se_x = ref.var / ref.n
@@ -556,13 +573,8 @@ def t_test_welch_against(ref: WelchMoments, b) -> TestResult:
         return TestResult(stat, 0.0, {"degenerate": True})
     se = se_x + se_y
     t = (ref.mean - y.mean) / math.sqrt(se)
-    if se >= _WELCH_SQUARE_SAFE:
-        df = se**2 / (se_x**2 / (ref.n - 1) + se_y**2 / (y.n - 1))
-    else:
-        # The same df divided through by se**2: it squares the weights
-        # se_x / se and se_y / se in [0, 1] instead of the tiny errors.
-        w = se_x / se
-        df = 1.0 / (w**2 / (ref.n - 1) + (1.0 - w) ** 2 / (y.n - 1))
+    w_x, w_y = se_x / se, se_y / se
+    df = 1.0 / (w_x * w_x / (ref.n - 1) + w_y * w_y / (y.n - 1))
     # The tail is read at -|t|: 1 - cdf(|t|) rounds to 0 below about 1e-16.
     return TestResult(t, 2.0 * student_t_cdf(-abs(t), df), {"df": df})
 

@@ -339,7 +339,8 @@ def welch_from_samples(a, b):
             return 0.0, 1.0
         return math.copysign(math.inf, mean_x - mean_y), 0.0
     t = (mean_x - mean_y) / math.sqrt(se_x + se_y)
-    df = (se_x + se_y) ** 2 / (se_x**2 / (xs.size - 1) + se_y**2 / (ys.size - 1))
+    w_x, w_y = se_x / (se_x + se_y), se_y / (se_x + se_y)
+    df = 1.0 / (w_x * w_x / (xs.size - 1) + w_y * w_y / (ys.size - 1))
     p = 2.0 * student_t_cdf(-abs(t), df)
     return t, p
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -447,6 +448,28 @@ class TestEval:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # mmd is left out: its bandwidth rule sets 2 sigma^2 to the median
+    # pairwise distance, not its square, so the kernel exponent
+    # -d^2 / (2 sigma^2) grows with the scale of the scores; at 2**300
+    # every off-diagonal kernel entry underflows to 0.
+    @pytest.mark.parametrize("method", ["ours", "ks", "single-sr", "single-ent"])
+    def test_power_of_two_rescaled_pools_give_identical_csv(self, tmp_path, train_file, method):
+        paths = [train_file, *self._pools(tmp_path)]
+        outs = []
+        for e in (0, 300, -300):
+            scaled = [tmp_path / f"{path.stem}{e}.txt" for path in paths]
+            for path, copy in zip(paths, scaled):
+                values = [float(line) for line in path.read_text().split()]
+                copy.write_text("".join(f"{math.ldexp(x, e)!r}\n" for x in values))
+            out = tmp_path / f"{method}{e}.csv"
+            rc = main(["eval", "--method", method, "--train", str(scaled[0]),
+                       "--id", str(scaled[1]), "--shifted", str(scaled[2]),
+                       "--window-sizes", "10,20", "--trials", "3", "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0]
+        assert outs[2] == outs[0]
 
     def test_raw_pool_with_two_columns_rejected(self, tmp_path, train_file, capsys):
         id_path, sh_path = self._pools(tmp_path)

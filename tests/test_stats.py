@@ -748,20 +748,23 @@ class TestTTests:
         assert t_test_welch_against(welch_moments(np.full(8, 2.0)), np.full(3, 1.0)).p_value == 0.0
 
     def test_welch_tiny_spreads_keep_their_df(self):
-        # Scaling both samples by 2**-300 scales every squared standard error
-        # by 2**-600 exactly, so t is unchanged; their squares would
-        # underflow and make the df 0 / 0.
+        # Scaling both samples by 2**e scales every squared standard error by
+        # 2**(2e) exactly and leaves their shares of the sum as they are, so
+        # t, df and p keep their bits while the errors stay normal floats;
+        # squaring the errors themselves would underflow at 2**-300 and
+        # overflow at 2**300.
         rng = np.random.default_rng(11)
         for _ in range(20):
             a = rng.standard_normal(int(rng.integers(2, 60)))
             b = rng.standard_normal(int(rng.integers(2, 60))) + rng.uniform(-2, 2)
             plain = t_test_two_sample_welch(a, b)
-            tiny = t_test_two_sample_welch(2.0**-300 * a, 2.0**-300 * b)
-            assert tiny.statistic == plain.statistic
-            assert tiny.p_value == pytest.approx(plain.p_value, rel=1e-12, abs=0.0)
-            assert tiny.detail["df"] == pytest.approx(plain.detail["df"], rel=1e-12)
-            scaled = t_test_two_sample_welch(1e-100 * a, 1e-100 * b)
-            assert scaled.p_value == pytest.approx(plain.p_value, rel=1e-9, abs=0.0)
+            for e in (-300, 300, -480, 480):
+                scaled = t_test_two_sample_welch(np.ldexp(a, e), np.ldexp(b, e))
+                assert scaled.statistic == plain.statistic
+                assert scaled.p_value == plain.p_value
+                assert scaled.detail["df"] == plain.detail["df"]
+            decimal = t_test_two_sample_welch(1e-100 * a, 1e-100 * b)
+            assert decimal.p_value == pytest.approx(plain.p_value, rel=1e-9, abs=0.0)
         # One sample constant: the df is the other sample's n - 1.
         lone = t_test_two_sample_welch(np.full(5, 2.0**-300), 2.0**-300 * np.arange(7.0))
         assert lone.detail["df"] == 6.0
@@ -797,6 +800,27 @@ class TestTTests:
     def test_welch_overflowing_sum_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum that overflows"):
             welch_moments([1e308, 1e308, 1.0])
+
+    def test_welch_overflowing_squares_rejected(self):
+        # The mean is 0 and finite; the squared deviations are not.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared deviations overflow"):
+            t_test_two_sample_welch([1e200, -1e200, 0.0], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160], ids=["underflow", "subnormal"])
+    def test_welch_spread_below_normal_rejected(self, scale):
+        # At 1e-170 both variances underflow to 0, which would read as a
+        # degenerate p = 0; at 1e-160 they are subnormal, which would move t.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(30)
+        b = rng.standard_normal(20) + 0.3
+        with pytest.raises(ValueError, match="spread is too small"):
+            t_test_two_sample_welch(scale * a, scale * b)
+        with pytest.raises(ValueError, match="spread is too small"):
+            t_test_welch_against(welch_moments(a), scale * b)
+
+    def test_welch_tiny_constant_samples_stay_degenerate(self):
+        r = t_test_two_sample_welch(np.full(4, 1e-200), np.full(3, 1e-200))
+        assert (r.statistic, r.p_value, dict(r.detail)) == (0.0, 1.0, {"degenerate": True})
 
     def test_welch_moments_undersized(self):
         with pytest.raises(ValueError):
