@@ -9,8 +9,9 @@ measures against.
 
 The reference is a sample object: a VectorSample, or a ScoreSample whose
 kappa label the single-instance test checks against its estimator. The
-window is a bare NumPy array of rows from a pool validated when loaded:
-(k, d) finite rows for KS and MMD, 1-D scores for the single-instance test.
+window is a bare NumPy array, (k, d) for KS and MMD and 1-D for the
+single-instance test. Only a KS window's shape is checked here: each stats
+kernel refuses NaN, +/-inf and overflow itself, with no numpy warning.
 
 detect_ks calls stats.ks_two_sample per column, which sorts the
 reference column and then calls stats.ks_against_sorted.
@@ -28,7 +29,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .scores import ConfidenceFunction, ScoreSample, read_csv_matrix, validate_softmax_rows
+from .scores import (
+    ConfidenceFunction, ScoreSample, _frozen_array, read_csv_matrix, validate_softmax_rows,
+)
 from .stats import (
     TestResult,
     ks_against_sorted,
@@ -97,14 +100,13 @@ class VectorSample:
     first_line: InitVar[int] = 1
 
     def __post_init__(self, source: str, first_line: int) -> None:
-        arr = np.array(self.vectors, dtype=np.float64)
+        arr = _frozen_array(self.vectors)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("vector sample must be a nonempty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vector sample contains non-finite entries")
         if self.kind is VectorKind.SOFTMAX:
             validate_softmax_rows(arr, source, first_line)
-        arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
     def __len__(self) -> int:
@@ -125,11 +127,9 @@ def load_vectors(path: str, kind: VectorKind, header: bool = False) -> VectorSam
 
 
 def _check_window(d: int, window: np.ndarray) -> None:
-    # A (k, d) window of finite values against a reference of d columns.
+    # The KS loops' (k, d) shape only: ks_against_sorted refuses NaN and +/-inf.
     if window.ndim != 2 or window.shape[1] != d:
         raise ValueError(f"dimension mismatch: window shape {window.shape}, reference d={d}")
-    if not np.isfinite(window).all():
-        raise ValueError("window contains NaN or infinite values")
 
 
 def detect_ks(ref: VectorSample, window: np.ndarray) -> TestResult:
@@ -180,7 +180,6 @@ def detect_mmd(
     seed: int = 0,
 ) -> TestResult:
     """MMD permutation test, with the reference capped by seeded subsampling."""
-    _check_window(ref.dim, window)
     ref_rows = ref.vectors
     if len(ref) > MMD_REF_CAP_DEFAULT:
         idx = substream(seed, 0).choice(len(ref), size=MMD_REF_CAP_DEFAULT, replace=False)

@@ -51,8 +51,8 @@ class ConfidenceFunction(enum.Enum):
             raise ValueError(f"unknown confidence function {name!r}") from None
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 

@@ -518,7 +518,7 @@ def welch_moments(a) -> WelchMoments:
     Python wrappers cost more than the arithmetic on small windows, so
     both are bit-identical to them. A sample whose mean or variance is
     not a finite float64, or whose variance is below the smallest normal
-    float64 though its values differ, raises ValueError.
+    float64 though its values differ, raises ValueError and no numpy warning.
     """
     xs = np.asarray(a, dtype=np.float64)
     if xs.ndim != 1:
@@ -526,16 +526,17 @@ def welch_moments(a) -> WelchMoments:
     n = xs.size
     if n < 2:
         raise ValueError("t_test_two_sample_welch requires n >= 2 per sample")
-    mean = np.add.reduce(xs) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(xs) / n
+        dev = xs - mean
+        var = np.add.reduce(dev * dev) / (n - 1)
     # Any NaN or infinite value, or a sum past the float64 range, leaves the
-    # mean non-finite; xs - mean would then warn and the df turn to NaN.
+    # mean non-finite; errstate keeps numpy from warning before this refusal.
     if not math.isfinite(mean):
         raise ValueError(
             "t_test_two_sample_welch: a sample holds a NaN or infinite value, "
             "or a sum that overflows"
         )
-    dev = xs - mean
-    var = np.add.reduce(dev * dev) / (n - 1)
     # An overflowing square leaves the variance inf and the df inf / inf; a
     # subnormal or underflowed variance has lost the bits t is taken from.
     # A constant sample keeps var = 0 and the degenerate verdict.

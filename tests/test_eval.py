@@ -458,28 +458,47 @@ class TestFittedAdaptors:
             assert spec.one_shot(ref, window) == fitted, name
         assert {n for n, spec in METHODS.items() if spec.one_shot is None} == {"ours", "mmd"}
 
+    # The adaptors word no errors of their own, so each case matches the
+    # message of the kernel that reads the window: violation_statistic,
+    # welch_moments, ks_against_sorted (behind _check_window's shape rule) or
+    # permutation_test_mmd. Opposite infinities sum to NaN, which numpy would
+    # warn of first; the suite's filter turns such a warning into a failure.
     @pytest.mark.parametrize("name", ["ours", "single-sr", "single-ent"])
     @pytest.mark.parametrize(
-        "window",
-        [[0.5, np.nan, 0.7], [0.5, np.inf, 0.6], [-np.inf, 0.5, 0.6], [[0.5, 0.6], [0.7, 0.8]]],
-        ids=["nan", "inf", "-inf", "2-d"],
+        "window, match",
+        [([0.5, np.nan, 0.7], "NaN or infinite"), ([0.5, np.inf, 0.6], "NaN or infinite"),
+         ([-np.inf, 0.5, 0.6], "NaN or infinite"), ([np.inf, -np.inf, 0.5], "NaN or infinite"),
+         ([[0.5, 0.6], [0.7, 0.8]], "1-D")],
+        ids=["nan", "inf", "-inf", "mixed-inf", "2-d"],
     )
-    def test_score_adaptors_reject_bad_windows(self, name, window):
+    def test_score_adaptors_reject_bad_windows(self, name, window, match):
         method = METHODS[name].build(gen_scores(BetaDist(5, 1), 400, seed=88), MethodSettings())
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match=match):
             method.p_value(np.array(window), seed=0)
 
     @pytest.mark.parametrize("name", ["ks", "mmd"])
     @pytest.mark.parametrize(
-        "window",
-        [[[0.5, 0.5], [np.nan, 0.5]], [[0.5, 0.5], [np.inf, 0.0]], [[-np.inf, 1.0], [0.5, 0.5]],
-         [0.5, 0.5], [[0.5, 0.25, 0.25], [0.2, 0.4, 0.4]]],
-        ids=["nan", "inf", "-inf", "1-d", "wrong-width"],
+        "window, case",
+        [([[0.5, 0.5], [np.nan, 0.5]], "non-finite"),
+         ([[0.5, 0.5], [np.inf, 0.0]], "non-finite"),
+         ([[-np.inf, 1.0], [0.5, 0.5]], "non-finite"),
+         ([[np.inf, 0.5], [0.5, -np.inf]], "non-finite"),
+         ([0.5, 0.5], "1-d"),
+         ([[0.5, 0.25, 0.25], [0.2, 0.4, 0.4]], "wrong-width")],
+        ids=["nan", "inf", "-inf", "mixed-inf", "1-d", "wrong-width"],
     )
-    def test_vector_adaptors_reject_bad_windows(self, name, window):
+    def test_vector_adaptors_reject_bad_windows(self, name, window, case):
+        match = {
+            ("ks", "non-finite"): "KS test: a sample holds a NaN or infinite value",
+            ("mmd", "non-finite"): "requires finite rows",
+            ("ks", "1-d"): "dimension mismatch: window shape",
+            ("mmd", "1-d"): "y must be a sequence of equal-length vectors",
+            ("ks", "wrong-width"): "dimension mismatch: window shape",
+            ("mmd", "wrong-width"): "dimension mismatch: x has d=2, y has d=3",
+        }[name, case]
         pool = gen_vectors(DirichletDist((3.0, 1.0)), 400, seed=91)
         method = METHODS[name].build(pool, MethodSettings())
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match=match):
             method.p_value(np.array(window), seed=0)
 
     def test_score_adaptors_build_no_score_sample(self, monkeypatch):
