@@ -195,14 +195,19 @@ def _incomplete_beta_xc(a: float, b: float, x: float, xc: float) -> float:
     # operation. Each sum of counts is then exact, as in int arithmetic,
     # and each product rounds once, so the factors have the bits of an int
     # counter whenever p and q are floats or integers below 2**51.
+    # lo < x < hi, with lo = -hi, has the truth value of abs(x) < hi for
+    # every float, ±0, ±inf and NaN included, without the call; the
+    # negated bounds are locals, so the loop negates nothing.
     eps = 1e-15
     fpmin = 1e-300
+    neg_eps = -eps
+    neg_fpmin = -fpmin
     pq = p + q
     p_plus = p + 1.0
     p_minus = p - 1.0
     c = 1.0
     d = 1.0 - pq * y / p_plus
-    if abs(d) < fpmin:
+    if neg_fpmin < d < fpmin:
         d = fpmin
     d = 1.0 / d
     h = d
@@ -213,24 +218,24 @@ def _incomplete_beta_xc(a: float, b: float, x: float, xc: float) -> float:
         p_m2 = p + m2
         aa = m * (q - m) * y / ((p_minus + m2) * p_m2)
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
+        if neg_fpmin < d < fpmin:
             d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
+        if neg_fpmin < c < fpmin:
             c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(p + m) * (pq + m) * y / (p_m2 * (p_plus + m2))
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
+        if neg_fpmin < d < fpmin:
             d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
+        if neg_fpmin < c < fpmin:
             c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if neg_eps < delta - 1.0 < eps:
             return min(1.0, scale * h / a) if below else max(0.0, 1.0 - scale * h / b)
     raise ArithmeticError(
         f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"

@@ -285,6 +285,38 @@ class TestDetect:
             "c_target", "b_star", "empirical_coverage", "violated"
         ]
 
+    def test_sorted_window_marked_model_and_replaced_report_give_identical_report(
+            self, tmp_path, train_file):
+        # The statistic reads only the window's counts at or above each
+        # threshold, and a model file may start with a UTF-8 byte-order mark,
+        # so neither a sorted window nor a marked copy of the model changes a
+        # report byte. Under umask 022 a new model or report gets mode 644,
+        # as a plain open() gives it, and a replaced report keeps its mode.
+        window, ordered = tmp_path / "window.txt", tmp_path / "sorted.txt"
+        scores = gen_scores(BetaDist(2, 2), 200, seed=54).scores
+        write_scores(window, scores)
+        write_scores(ordered, np.sort(scores))
+        model, marked = tmp_path / "model.json", tmp_path / "marked.json"
+        report = tmp_path / "report.json"
+
+        def report_bytes(model, window):
+            assert main(["detect", "--model", str(model), "--window", str(window),
+                         "--alpha", "0.05", "--report", str(report)]) == 2
+            return report.read_bytes()
+
+        old = os.umask(0o022)
+        try:
+            assert main(["fit", "--scores", str(train_file), "--out", str(model)]) == 0
+            expected = report_bytes(model, window)
+        finally:
+            os.umask(old)
+        assert [path.stat().st_mode & 0o777 for path in (model, report)] == [0o644, 0o644]
+        marked.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        report.chmod(0o640)
+        assert report_bytes(model, ordered) == expected
+        assert report_bytes(marked, window) == expected
+        assert report.stat().st_mode & 0o777 == 0o640
+
     def test_alpha_zero_never_flags(self, tmp_path, model_file):
         window = tmp_path / "window.txt"
         write_scores(window, np.full(100, 1e-6))

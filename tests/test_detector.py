@@ -28,6 +28,7 @@ from covshift.detector import (
     violation_statistic,
     write_atomic,
 )
+from covshift.baselines import VectorKind, VectorSample, detect_ks_sorted, sort_columns
 from covshift.eval import BetaDist, CoverageDetectorMethod, gen_scores
 from covshift.scores import ScoreSample
 from covshift.sgc import CoverageBound
@@ -716,6 +717,54 @@ class TestDetect:
             assert ca.empirical_coverage == cb.empirical_coverage
             assert ca.violated == cb.violated
             assert ca.b_star == cb.b_star
+
+    @pytest.mark.parametrize("m", [50, 1000, 20_000])
+    def test_fit_and_detect_are_invariant_under_increasing_maps(self, m):
+        # SGC takes its thresholds from order statistics and its b* from m,
+        # the counts and delta alone; violation_statistic and the KS
+        # statistic read only counts of scores at or above a value. So for
+        # any f strictly increasing on the data, fitting f(x) and testing
+        # f(w) gives the same pairs with theta mapped through f, and the
+        # same V, p and violated mask. Scores rounded to 3 decimals tie
+        # within the sample, and windows drawn from it tie with thresholds.
+        rng = substream(4700, m)
+
+        def draw(a, b, n):
+            return np.clip(np.round(rng.beta(a, b, size=n), 3), 0.001, 0.999)
+
+        train = draw(5.0, 1.0, m)
+        windows = [w for k in (2, 10, 50) for w in (
+            draw(5.0, 1.0, k), draw(2.0, 2.0, k), rng.choice(train, size=k))]
+        values = np.unique(np.concatenate([train, *windows]))
+        maps = {
+            "cube": lambda x: x**3,
+            "log": np.log,
+            "logit": lambda x: np.log(x / (1.0 - x)),
+            "affine": lambda x: 3.0 * x - 7.0,
+            "neg-reciprocal": lambda x: -1.0 / x,
+        }
+
+        def ks(sample, window):
+            ref = VectorSample(sample[:, None], kind=VectorKind.EMBEDDING)
+            return detect_ks_sorted(sort_columns(ref), window[:, None])
+
+        model = fit(ScoreSample(train), delta=0.01, c_target_count=10)
+        reports = [detect(model, ScoreSample(w), alpha=0.05) for w in windows]
+        ks_results = [ks(train, w) for w in windows]
+        for name, f in maps.items():
+            image = f(values)
+            assert np.all(np.diff(image) > 0.0), name
+
+            def mapped(x):
+                return image[np.searchsorted(values, x)]
+
+            moved = fit(ScoreSample(mapped(train)), delta=0.01, c_target_count=10)
+            assert moved.pairs == tuple(
+                replace(pair, theta=float(mapped(pair.theta))) for pair in model.pairs
+            ), name
+            for i, window in enumerate(windows):
+                assert detect(moved, ScoreSample(mapped(window)), alpha=0.05) == reports[i], (name, i)
+                assert ks(mapped(train), mapped(window)) == ks_results[i], (name, i)
 
     def test_id_calibration_small(self, small_model):
         n_windows, k = 200, 50
